@@ -5,7 +5,6 @@ FPE/CAT/OBD losses, evaluate the maximum-entropy PSD, forecast future
 samples, generate synthetic data from target spectra, and compare against
 a Welch baseline.
 """
-from mesa._kernels import KERNEL
 from mesa.baseline import tukey_window, welch_psd
 from mesa.core import (
     AccuracyError,

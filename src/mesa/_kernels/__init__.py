@@ -1,24 +1,4 @@
-"""Hot-loop kernels with import-time selection.
+"""Hot-loop kernels: the Burg lattice recursion, streamed order by order."""
+from mesa._kernels._burg_py import burg_lattice
 
-The compiled Cython kernel is preferred when its extension module built;
-otherwise the numpy implementation is used. Set ``MESA_PURE_PYTHON=1`` to
-force the fallback (the benchmark does this to compare both).
-"""
-import os
-
-from mesa._kernels._burg_py import burg_recursion as burg_recursion_py
-
-if os.environ.get("MESA_PURE_PYTHON", "0") not in ("", "0"):
-    burg_recursion = burg_recursion_py
-    KERNEL = "python"
-else:
-    try:
-        from mesa._kernels._burg_cy import burg_recursion as burg_recursion_cy
-
-        burg_recursion = burg_recursion_cy
-        KERNEL = "compiled"
-    except ImportError:
-        burg_recursion = burg_recursion_py
-        KERNEL = "python"
-
-__all__ = ["burg_recursion", "burg_recursion_py", "KERNEL"]
+__all__ = ["burg_lattice"]

@@ -1,4 +1,4 @@
-"""Pure-numpy Burg recursion (fallback for the compiled kernel)."""
+"""Burg lattice recursion in numpy, one order at a time."""
 from __future__ import annotations
 
 import numpy as np
@@ -6,26 +6,33 @@ import numpy as np
 from mesa.core import DegenerateModelError
 
 
-def burg_recursion(x: np.ndarray, max_order: int):
-    """Run the Burg lattice recursion on ``x`` up to ``max_order``.
+def burg_lattice(x: np.ndarray, max_order: int):
+    """Start the Burg lattice recursion on ``x``, up to ``max_order``.
 
-    Returns ``(p, c)``: prediction-error powers for orders 0..max_order and
-    the reflection coefficients used at each step. Forward/backward error
-    sequences start as the signal itself and lose one usable sample per
-    order.
+    Returns ``(p0, steps)``: the order-0 prediction-error power and a
+    generator that yields ``(p_{k+1}, c_k)`` for k = 0..max_order-1, the
+    power after each order and the reflection coefficient that reached it.
+    An order is computed only when the generator is advanced, so a consumer
+    that stops reading stops the recursion. Forward/backward error sequences
+    start as the signal itself and lose one usable sample per order.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
-    n = x.shape[0]
-    p = np.empty(max_order + 1)
-    c = np.empty(max_order)
-    p[0] = x @ x / n
-    if p[0] == 0.0:
+    p0 = x @ x / x.shape[0]
+    if p0 == 0.0:
         raise DegenerateModelError("zero-variance input")
-    f = x
-    b = x
+    return p0, _steps(x, p0, max_order)
+
+
+def _steps(x: np.ndarray, p, max_order: int):
+    # errors live in preallocated buffers: b is updated in place, f
+    # alternates between two buffers, so no order allocates
+    n = x.shape[0]
+    f, f_next, b = x.copy(), np.empty(n), x.copy()
+    scratch = np.empty(n)
     for k in range(max_order):
-        fa = f[1:]
-        ba = b[:-1]
+        size = n - k - 1
+        fa = f[1 : size + 1]
+        ba = b[:size]
         den = fa @ fa + ba @ ba
         if den == 0.0:
             raise DegenerateModelError(f"prediction errors vanished at order {k}")
@@ -35,8 +42,11 @@ def burg_recursion(x: np.ndarray, max_order: int):
             ck = 1.0
         elif ck < -1.0:
             ck = -1.0
-        c[k] = ck
-        p[k + 1] = p[k] * (1.0 - ck * ck)
-        f = fa + ck * ba
-        b = ba + ck * fa
-    return p, c
+        p = p * (1.0 - ck * ck)
+        yield p, ck
+        tmp = scratch[:size]
+        np.multiply(ba, ck, out=tmp)
+        np.add(fa, tmp, out=f_next[:size])
+        np.multiply(fa, ck, out=tmp)
+        np.add(ba, tmp, out=ba)
+        f, f_next = f_next, f

@@ -55,13 +55,13 @@ def _add_early_stop_args(p: argparse.ArgumentParser) -> None:
                    help="orders without a new minimum before the scan stops")
 
 
-def _early_stop(args, scan_max: int) -> EarlyStopConfig:
+def _early_stop(args) -> EarlyStopConfig | None:
+    """The early stop the flags ask for, or None for ``fit``'s default."""
     if args.no_early_stop:
         return EarlyStopConfig.full_scan()
-    cfg = EarlyStopConfig.default(scan_max)
     if args.patience is not None:
-        cfg = EarlyStopConfig(enabled=True, patience=args.patience, check_stride=cfg.check_stride)
-    return cfg
+        return EarlyStopConfig(enabled=True, patience=args.patience)
+    return None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -183,8 +183,9 @@ def cmd_estimate(args) -> int:
     max_order = args.max_order if args.max_order is not None else selection.max_order(len(ts))
     if max_order > len(ts) - 1:
         raise ValidationError(f"--max-order must be < n = {len(ts)}")
-    trace = fit(ts, max_order, args.method, keep_coefficients=False)
-    sel = selection.select_order(trace, args.criterion, _early_stop(args, max_order))
+    trace = fit(ts, max_order, args.method, keep_coefficients=False,
+                criterion=args.criterion, early_stop=_early_stop(args))
+    sel = selection.select_order(trace, args.criterion)
     model = trace.model(sel.chosen_order)
     grid = None
     if args.n_freqs is not None:
@@ -249,8 +250,9 @@ def cmd_compare(args) -> int:
     ts = synth.generate_from_psd(target, n, dt, args.seed)
 
     max_order = selection.max_order(n)
-    trace = fit(ts, max_order, EstimatorMethod.BURG, keep_coefficients=False)
-    sel = selection.select_order(trace, args.criterion, _early_stop(args, max_order))
+    trace = fit(ts, max_order, EstimatorMethod.BURG, keep_coefficients=False,
+                criterion=args.criterion, early_stop=_early_stop(args))
+    sel = selection.select_order(trace, args.criterion)
     model = trace.model(sel.chosen_order)
 
     window = baseline.tukey_window(args.segment, args.tukey)

@@ -16,9 +16,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from mesa.selection import EarlyStopConfig
 
 
 class ValidationError(ValueError):
@@ -177,6 +180,9 @@ class RecursionTrace:
     retains every order's coefficient vector; in the memory-lean mode
     (``coeffs is None``) vectors are reconstructed on demand by replaying
     the order-update from ``c``.
+
+    When the fit ran an order scan to stop the recursion, ``selection`` is
+    that scan's result and ``early_stop`` the config it ran with.
     """
 
     p: np.ndarray
@@ -184,6 +190,8 @@ class RecursionTrace:
     coeffs: tuple | None
     dt: float
     n_samples: int | None = None
+    selection: OrderSelection | None = None
+    early_stop: EarlyStopConfig | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "p", _readonly(self.p))
@@ -220,21 +228,6 @@ class RecursionTrace:
         for k in range(order):
             a = _levinson_update(a, self.c[k])
         return a
-
-    def iter_coefficients(self):
-        """Yield (order, coefficient vector) for order = 0..max_order.
-
-        Replays incrementally, so lean traces iterate in O(M^2) total work
-        and O(M) memory.
-        """
-        if self.coeffs is not None:
-            yield from enumerate(self.coeffs)
-            return
-        a = np.ones(1)
-        yield 0, a
-        for k in range(self.max_order):
-            a = _levinson_update(a, self.c[k])
-            yield k + 1, a
 
     def model(self, order: int) -> ArModel:
         """AR model for one order of the recursion."""

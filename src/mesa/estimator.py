@@ -14,14 +14,16 @@ import enum
 
 import numpy as np
 
-from mesa._kernels import burg_recursion
+from mesa._kernels import burg_lattice
 from mesa.core import (
+    Criterion,
     DegenerateModelError,
     RecursionTrace,
     TimeSeries,
     ValidationError,
     _levinson_update,
 )
+from mesa.selection import EarlyStopConfig, scan_orders
 
 
 class EstimatorMethod(enum.Enum):
@@ -102,41 +104,78 @@ def _replay_coefficients(c: np.ndarray) -> tuple:
     return tuple(out)
 
 
+def _levinson_steps(r: np.ndarray, p, max_order: int):
+    """Yield ``(p_{k+1}, c_k)`` of the Levinson recursion on ``r``, as ``burg_lattice``."""
+    a = np.ones(1)
+    for _ in range(max_order):
+        ck = float(np.clip(reflection_yule_walker(a, r, p), -1.0, 1.0))
+        a, p = levinson_step(a, p, ck)
+        yield p, ck
+
+
+def _run(p0, steps, dt, n_samples, keep_coefficients, criterion=None, early_stop=None):
+    """Draw orders from ``steps`` into a trace, as far as the scan of ``criterion`` reads."""
+    p, c = [p0], []
+
+    def recorded():
+        for pk, ck in steps:
+            p.append(pk)
+            c.append(ck)
+            yield pk, ck
+
+    selection = None
+    if criterion is None:
+        for _ in recorded():
+            pass
+    else:
+        selection = scan_orders(p0, recorded(), criterion, n_samples, early_stop)
+    c = np.array(c, dtype=np.float64)
+    coeffs = _replay_coefficients(c) if keep_coefficients else None
+    return RecursionTrace(p=np.array(p, dtype=np.float64), c=c, coeffs=coeffs, dt=dt,
+                          n_samples=n_samples, selection=selection, early_stop=early_stop)
+
+
 def fit(
     ts: TimeSeries,
     max_order: int,
     method: EstimatorMethod | str = EstimatorMethod.BURG,
     keep_coefficients: bool = True,
+    criterion: Criterion | str | None = None,
+    early_stop: EarlyStopConfig | None = None,
 ) -> RecursionTrace:
     """Run the recursion on ``ts`` up to ``max_order``.
 
     With ``keep_coefficients=False`` only the powers and reflection
     coefficients are retained (memory-lean mode for large orders); the
     per-order vectors are then rebuilt on demand by the trace.
+
+    With a ``criterion``, its order-selection scan runs as the orders are
+    computed, and the recursion stops where the scan stops: the trace ends
+    at the last order the scan read and holds the scan's result, which
+    ``select_order(trace, criterion)`` returns. It equals what
+    ``select_order`` gives on the full trace with the same ``early_stop``;
+    ``early_stop=None`` is ``EarlyStopConfig.default(max_order, criterion)``.
+    A ``DegenerateModelError`` is raised only for orders the recursion
+    computes, and a loss undefined at every order raises
+    ``UndefinedLossError`` here rather than in ``select_order``.
     """
     method = EstimatorMethod(method)
     n = len(ts)
     if not 1 <= max_order <= n - 1:
         raise ValidationError(f"max_order must be in [1, {n - 1}], got {max_order}")
+    if criterion is not None:
+        criterion = Criterion(criterion)
+        if early_stop is None:
+            early_stop = EarlyStopConfig.default(max_order, criterion)
 
     if method is EstimatorMethod.BURG:
-        p, c = burg_recursion(ts.samples, max_order)
+        p0, steps = burg_lattice(ts.samples, max_order)
     else:
         r = sample_autocorrelation(ts, max_order)
-        p = np.empty(max_order + 1)
-        c = np.empty(max_order)
-        p[0] = r[0]
-        if p[0] == 0.0:
+        if r[0] == 0.0:
             raise DegenerateModelError("zero-variance input")
-        a = np.ones(1)
-        for k in range(max_order):
-            ck = reflection_yule_walker(a, r, p[k])
-            ck = float(np.clip(ck, -1.0, 1.0))
-            c[k] = ck
-            a, p[k + 1] = levinson_step(a, p[k], ck)
-
-    coeffs = _replay_coefficients(c) if keep_coefficients else None
-    return RecursionTrace(p=p, c=c, coeffs=coeffs, dt=ts.dt, n_samples=n)
+        p0, steps = r[0], _levinson_steps(r, r[0], max_order)
+    return _run(p0, steps, ts.dt, n, keep_coefficients, criterion, early_stop)
 
 
 def fit_from_autocorr(
@@ -156,16 +195,7 @@ def fit_from_autocorr(
         raise ValidationError(f"max_order must be in [1, {r.size - 1}], got {max_order}")
     if r[0] == 0.0:
         raise DegenerateModelError("zero-variance autocorrelation")
-    p = np.empty(max_order + 1)
-    c = np.empty(max_order)
-    p[0] = r[0]
-    a = np.ones(1)
-    for k in range(max_order):
-        ck = float(np.clip(reflection_yule_walker(a, r, p[k]), -1.0, 1.0))
-        c[k] = ck
-        a, p[k + 1] = levinson_step(a, p[k], ck)
-    coeffs = _replay_coefficients(c) if keep_coefficients else None
-    return RecursionTrace(p=p, c=c, coeffs=coeffs, dt=dt, n_samples=n_samples)
+    return _run(r[0], _levinson_steps(r, r[0], max_order), dt, n_samples, keep_coefficients)
 
 
 def reflection_coefficients(a: np.ndarray) -> np.ndarray:

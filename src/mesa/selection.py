@@ -12,6 +12,7 @@ from mesa.core import (
     RecursionTrace,
     UndefinedLossError,
     ValidationError,
+    _levinson_update,
 )
 
 
@@ -85,83 +86,96 @@ def loss_obd(p, a, n: int, m: int) -> float:
 class EarlyStopConfig:
     """Stop the selection scan once the incumbent minimum stops moving.
 
-    ``patience`` counts evaluated orders without a new minimum; the check
-    runs every ``check_stride`` evaluated orders.
+    ``patience`` counts orders scanned without a new minimum.
     """
 
     enabled: bool = True
     patience: int = 100
-    check_stride: int = 1
 
     def __post_init__(self):
         if self.patience < 1:
             raise ValidationError("patience must be >= 1")
-        if self.check_stride < 1:
-            raise ValidationError("check_stride must be >= 1")
 
     @classmethod
-    def default(cls, scan_max_order: int) -> "EarlyStopConfig":
-        return cls(enabled=True, patience=max(100, -(-scan_max_order // 10)), check_stride=1)
+    def default(cls, scan_max_order: int, criterion: Criterion | str) -> "EarlyStopConfig":
+        """Patience max(100, M/10); a full scan for ``cat-invsum``.
+
+        The ``cat-invsum`` loss has deep local minima far below the order of
+        its global minimum, where a patience stop would end the scan.
+        """
+        if Criterion(criterion) is Criterion.CAT_INVSUM:
+            return cls.full_scan()
+        return cls(enabled=True, patience=max(100, -(-scan_max_order // 10)))
 
     @classmethod
     def full_scan(cls) -> "EarlyStopConfig":
         return cls(enabled=False)
 
 
-def _loss_sequence(trace: RecursionTrace, criterion: Criterion, n: int):
-    """Yield (order, loss) in ascending order, stopping where undefined."""
-    p = trace.p
+def _loss_sequence(orders, criterion: Criterion, n: int):
+    """Yield (order, loss) for (order, p_order, c_{order-1}) from ``orders``.
+
+    Reads ``orders`` only as far as it yields, and stops where the loss is
+    undefined.
+    """
     if criterion is Criterion.FPE:
-        for m in range(trace.max_order + 1):
+        for m, pm, _ in orders:
             if m >= n - 1:
                 return
-            yield m, loss_fpe(p[m], n, m)
+            yield m, loss_fpe(pm, n, m)
     elif criterion is Criterion.CAT:
         # running sum keeps the scan O(1) per order
         acc = 0.0
-        for m in range(1, trace.max_order + 1):
-            if p[m] == 0.0:
+        for m, pm, _ in orders:
+            if m == 0:
+                continue
+            if pm == 0.0:
                 return
-            acc += (n - m) / (n * p[m])
-            yield m, acc / n - (n - m) / (n * p[m])
+            acc += (n - m) / (n * pm)
+            yield m, acc / n - (n - m) / (n * pm)
     elif criterion is Criterion.CAT_INVSUM:
         acc = 0.0
-        for m in range(1, trace.max_order + 1):
-            if p[m] == 0.0:
+        for m, pm, _ in orders:
+            if m == 0:
+                continue
+            if pm == 0.0:
                 return
-            acc += n * p[m] / (n - m)
-            yield m, 1.0 / (n * acc) - (n - m) / (n * p[m])
+            acc += n * pm / (n - m)
+            yield m, 1.0 / (n * acc) - (n - m) / (n * pm)
     elif criterion is Criterion.OBD:
+        # the order-m coefficient vector is raised from order m-1 as orders arrive
         log_acc = 0.0
-        for m, a in trace.iter_coefficients():
-            if p[m] == 0.0:
+        a = np.ones(1)
+        for m, pm, cm in orders:
+            if m >= 1:
+                a = _levinson_update(a, cm)
+            if pm == 0.0:
                 return
             sq = float(a[1:] @ a[1:]) if m >= 1 else 0.0
-            yield m, (n - m - 2) * math.log(p[m]) + m * math.log(n) + log_acc + sq
-            log_acc += math.log(p[m])
+            yield m, (n - m - 2) * math.log(pm) + m * math.log(n) + log_acc + sq
+            log_acc += math.log(pm)
     else:
         raise ValidationError(f"no loss scan for criterion {criterion.value!r}")
 
 
-def select_order(
-    trace: RecursionTrace,
-    criterion: Criterion | str,
-    early_stop: EarlyStopConfig | None = None,
+def scan_orders(
+    p0,
+    steps,
+    criterion: Criterion,
+    n: int,
+    early_stop: EarlyStopConfig,
 ) -> OrderSelection:
-    """Scan the trace's orders and pick the first minimum of the loss.
+    """Scan a stream of orders with one loss and pick its first minimum.
 
-    ``early_stop=None`` uses the default configuration (enabled, patience
-    max(100, max_order/10)); pass ``EarlyStopConfig.full_scan()`` for a
-    reproducible full sweep.
+    ``p0`` is the order-0 power and ``steps`` yields ``(p_{k+1}, c_k)`` for
+    k = 0, 1, ..., as a recursion produces them. The scan draws from
+    ``steps`` one order at a time and no further than the order where it
+    stops, so a lazy recursion computes only the orders scanned.
     """
-    criterion = Criterion(criterion)
-    n = trace.n_samples
-    if n is None:
-        raise ValidationError("trace has no sample count; order-selection losses need it")
-    if trace.max_order < 1:
-        raise ValidationError("trace must hold at least order 1")
-    if early_stop is None:
-        early_stop = EarlyStopConfig.default(trace.max_order)
+    def orders():
+        yield 0, p0, None
+        for m, (pm, cm) in enumerate(steps, 1):
+            yield m, pm, cm
 
     # the CAT readings start at order 1: pad so that losses[m] is order m
     from_order_one = criterion in (Criterion.CAT, Criterion.CAT_INVSUM)
@@ -169,18 +183,12 @@ def select_order(
     best_loss = np.inf
     best_order = -1
     early_stopped = False
-    evaluated = 0
-    for m, value in _loss_sequence(trace, criterion, n):
+    for m, value in _loss_sequence(orders(), criterion, n):
         losses.append(value)
-        evaluated += 1
         if value < best_loss:
             best_loss = value
             best_order = m
-        if (
-            early_stop.enabled
-            and evaluated % early_stop.check_stride == 0
-            and m - best_order >= early_stop.patience
-        ):
+        if early_stop.enabled and m - best_order >= early_stop.patience:
             early_stopped = True
             break
     if best_order < 0:
@@ -191,3 +199,37 @@ def select_order(
         chosen_order=best_order,
         early_stopped=early_stopped,
     )
+
+
+def select_order(
+    trace: RecursionTrace,
+    criterion: Criterion | str,
+    early_stop: EarlyStopConfig | None = None,
+) -> OrderSelection:
+    """Scan the trace's orders and pick the first minimum of the loss.
+
+    A trace that ``fit`` stopped with this criterion already holds its scan,
+    which is returned when ``early_stop`` is None or the config that scan ran
+    with. Otherwise ``early_stop=None`` uses ``EarlyStopConfig.default
+    (trace.max_order, criterion)``; pass ``EarlyStopConfig.full_scan()`` for a
+    reproducible full sweep. A trace whose scan stopped the recursion early
+    cannot be scanned otherwise: it lacks the orders a different scan may read.
+    """
+    criterion = Criterion(criterion)
+    n = trace.n_samples
+    if n is None:
+        raise ValidationError("trace has no sample count; order-selection losses need it")
+    if trace.max_order < 1:
+        raise ValidationError("trace must hold at least order 1")
+    held = trace.selection
+    if held is not None:
+        if held.criterion is criterion and early_stop in (None, trace.early_stop):
+            return held
+        if held.early_stopped:
+            raise ValidationError(
+                f"the recursion was stopped by its {held.criterion.value} scan; "
+                "fit without a criterion to scan it otherwise"
+            )
+    if early_stop is None:
+        early_stop = EarlyStopConfig.default(trace.max_order, criterion)
+    return scan_orders(trace.p[0], zip(trace.p[1:], trace.c), criterion, n, early_stop)

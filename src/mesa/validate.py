@@ -94,9 +94,10 @@ def run_gaussian_experiment(
 ) -> GaussianExperimentResult:
     """Estimate the spectrum of colored noise with a Gaussian-bump target.
 
-    Each realization draws fresh noise from the target, fits the full
-    recursion, selects the order with ``criterion`` and scores the model
-    PSD against the analytic curve on a fixed grid.
+    Each realization draws fresh noise from the target, runs the recursion
+    as far as the order scan of ``criterion`` reads it, selects the order and
+    scores the model PSD against the analytic curve on a fixed grid.
+    ``early_stop=None`` is ``EarlyStopConfig.default`` at the full order bound.
     """
     if n_realizations < 1:
         raise ValidationError("need at least one realization")
@@ -108,7 +109,8 @@ def run_gaussian_experiment(
 
     def one(i: int):
         ts = generate_from_psd(curve, n_samples, dt, derive_seed(rng_seed, i))
-        trace = fit(ts, m_max, EstimatorMethod.BURG, keep_coefficients=False)
+        trace = fit(ts, m_max, EstimatorMethod.BURG, keep_coefficients=False,
+                    criterion=criterion, early_stop=early_stop)
         sel = select_order(trace, criterion, early_stop)
         est = spectrum.psd(trace.model(sel.chosen_order), grid)
         return sel.chosen_order, est
@@ -153,7 +155,11 @@ def run_order_recovery(
     criteria=(Criterion.FPE, Criterion.CAT, Criterion.OBD),
     early_stop: EarlyStopConfig | None = None,
 ) -> tuple:
-    """Fit random AR(p) processes and record the order picked by each criterion."""
+    """Fit random AR(p) processes and record the order picked by each criterion.
+
+    Every criterion scans one full recursion per model, so the fit does not
+    stop early.
+    """
     criteria = tuple(Criterion(c) for c in criteria)
     m_max = selection.max_order(n_samples)
 

@@ -53,6 +53,19 @@ def test_estimate_cat_inverse_sum(tmp_path):
     assert sel["chosen_order"] >= 1
 
 
+def test_estimate_cat_inverse_sum_scans_every_order_by_default(tmp_path):
+    data = write_noise(tmp_path / "noise.csv")
+    base = ["estimate", "--in", data, "--dt", "0.01", "--criterion", "cat-invsum"]
+    assert run(base + ["--out-prefix", tmp_path / "def"]) == 0
+    assert run(base + ["--no-early-stop", "--out-prefix", tmp_path / "full"]) == 0
+    default = (tmp_path / "def_selection.json").read_bytes()
+    assert default == (tmp_path / "full_selection.json").read_bytes()
+    assert not json.loads(default)["early_stopped"]
+    # --patience still turns the early stop on
+    assert run(base + ["--patience", "5", "--out-prefix", tmp_path / "pat"]) == 0
+    assert json.loads((tmp_path / "pat_selection.json").read_text())["early_stopped"]
+
+
 def test_estimate_two_column_input(tmp_path):
     rng = np.random.default_rng(1)
     t = np.arange(500) * 0.5

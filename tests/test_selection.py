@@ -1,12 +1,20 @@
 """Order-selection losses, the order bound, and the early-stop scan."""
+import functools
+import json
 import math
 
 import numpy as np
 import pytest
 
-from mesa.core import Criterion, RecursionTrace, UndefinedLossError, ValidationError
+from mesa.core import (
+    Criterion,
+    DegenerateModelError,
+    RecursionTrace,
+    TimeSeries,
+    UndefinedLossError,
+    ValidationError,
+)
 from mesa.estimator import fit
-from mesa.core import TimeSeries
 from mesa.selection import (
     EarlyStopConfig,
     loss_cat,
@@ -16,6 +24,7 @@ from mesa.selection import (
     max_order,
     select_order,
 )
+from mesa.synth import generate_ar, generate_from_psd, random_ar_model
 
 
 def make_trace(p, c, n):
@@ -200,8 +209,98 @@ def test_trace_without_sample_count_rejected():
 def test_early_stop_config_validation():
     with pytest.raises(ValidationError):
         EarlyStopConfig(patience=0)
-    with pytest.raises(ValidationError):
-        EarlyStopConfig(check_stride=0)
-    cfg = EarlyStopConfig.default(5000)
-    assert cfg.patience == 500
-    assert EarlyStopConfig.default(100).patience == 100
+    assert EarlyStopConfig.default(5000, "fpe").patience == 500
+    assert EarlyStopConfig.default(100, "obd").patience == 100
+
+
+def test_cat_inverse_sum_defaults_to_full_scan():
+    # its loss has deep local minima far below the global one
+    assert EarlyStopConfig.default(5000, "cat-invsum") == EarlyStopConfig.full_scan()
+    assert EarlyStopConfig.default(5000, Criterion.CAT_INVSUM) == EarlyStopConfig.full_scan()
+    x = np.random.default_rng(9).standard_normal(2000)
+    trace = fit(TimeSeries(x, dt=1.0), 300)
+    sel = select_order(trace, "cat-invsum")
+    assert not sel.early_stopped and sel.losses.size == 301
+
+
+# --- scan inside the recursion ----------------------------------------------------
+
+PARITY_N = 12_000  # max_order 2379, so the default patience (238) is not the floor of 100
+
+
+def three_peak_curve(f):
+    f = np.asarray(f, dtype=float)
+    return (1.0 + 30.0 / (1.0 + (f / 40.0) ** 2) + 40.0 / (1.0 + ((f - 60.0) / 6.0) ** 2)
+            + 25.0 / (1.0 + ((f - 350.0) / 12.0) ** 2) + 12.0 / (1.0 + ((f - 1100.0) / 25.0) ** 2))
+
+
+@functools.lru_cache(maxsize=None)
+def parity_input(name):
+    """A series and its full Burg trace to the default order bound."""
+    if name == "white":
+        ts = TimeSeries(np.random.default_rng(11).standard_normal(PARITY_N), dt=1.0)
+    elif name == "three-peak":
+        ts = generate_from_psd(three_peak_curve, PARITY_N, 1.0 / 4096, rng_seed=12)
+    else:
+        # AR(2) with a reflection coefficient of 0.977: a pole close to the unit circle
+        ts = generate_ar(random_ar_model(142, 2, 200), PARITY_N, rng_seed=13)
+    return ts, fit(ts, max_order(PARITY_N), keep_coefficients=False)
+
+
+@pytest.mark.parametrize("scan", ["default", "full"])
+@pytest.mark.parametrize("crit", [c.value for c in Criterion])
+@pytest.mark.parametrize("name", ["white", "three-peak", "near-unit-circle"])
+def test_stopped_fit_matches_full_fit(name, crit, scan):
+    ts, full = parity_input(name)
+    m_max = full.max_order
+    cfg = EarlyStopConfig.default(m_max, crit) if scan == "default" else EarlyStopConfig.full_scan()
+    expected = select_order(full, crit, cfg)
+    stopped = fit(ts, m_max, keep_coefficients=False, criterion=crit,
+                  early_stop=None if scan == "default" else cfg)
+    got = select_order(stopped, crit, cfg)
+    assert got.to_dict() == expected.to_dict()
+    # the scan that stopped the recursion is the one select_order returns
+    assert got is stopped.selection and select_order(stopped, crit) is got
+    assert json.dumps(stopped.model(got.chosen_order).to_dict()) == \
+        json.dumps(full.model(expected.chosen_order).to_dict())
+    # the recursion ran exactly as far as the scan read, and bit for bit as the full one
+    assert stopped.max_order == len(got.losses) - 1
+    assert stopped.p.tobytes() == full.p[: stopped.max_order + 1].tobytes()
+    assert stopped.c.tobytes() == full.c[: stopped.max_order].tobytes()
+    if got.early_stopped:
+        assert stopped.max_order < m_max
+
+
+def test_stopped_trace_rejects_another_scan():
+    ts, full = parity_input("white")
+    stopped = fit(ts, full.max_order, keep_coefficients=False, criterion="fpe")
+    assert stopped.selection.early_stopped
+    for crit, cfg in (("obd", None), ("fpe", EarlyStopConfig.full_scan())):
+        with pytest.raises(ValidationError):
+            select_order(stopped, crit, cfg)
+    # a recursion its scan read to the end can be scanned again
+    whole = fit(ts, 300, keep_coefficients=False, criterion="fpe",
+                early_stop=EarlyStopConfig.full_scan())
+    expected = select_order(fit(ts, 300, keep_coefficients=False), "obd")
+    assert select_order(whole, "obd").to_dict() == expected.to_dict()
+
+
+def test_stopped_fit_yule_walker_matches_full_fit():
+    ts, _ = parity_input("three-peak")
+    full = fit(ts, 400, "yule_walker", keep_coefficients=False)
+    cfg = EarlyStopConfig.default(400, "fpe")
+    stopped = fit(ts, 400, "yule_walker", keep_coefficients=False, criterion="fpe")
+    assert select_order(stopped, "fpe", cfg).to_dict() == select_order(full, "fpe", cfg).to_dict()
+    assert stopped.max_order < 400
+    assert stopped.c.tobytes() == full.c[: stopped.max_order].tobytes()
+
+
+def test_stopped_fit_skips_degenerate_orders_it_never_reads():
+    # alternating signal: order 1 predicts it exactly, and order 2 is degenerate
+    ts = TimeSeries(np.array([1.0, -1.0] * 8), dt=1.0)
+    with pytest.raises(DegenerateModelError):
+        fit(ts, 4)
+    # OBD is undefined at order 1 (zero power), so its scan ends there
+    trace = fit(ts, 4, criterion="obd")
+    assert trace.max_order == 1 and trace.p[1] == 0.0
+    assert select_order(trace, "obd").chosen_order == 0
