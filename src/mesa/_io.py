@@ -62,6 +62,9 @@ def read_timeseries(path, dt: float | None = None, binary: bool = False) -> Time
     if binary:
         if dt is None:
             raise ValidationError("binary input requires --dt")
+        size = os.path.getsize(path)
+        if size % 8:
+            raise ValidationError(f"{path}: {size} bytes is not a whole number of float64 samples")
         samples = np.fromfile(path, dtype="<f8")
         return TimeSeries(samples=samples, dt=dt)
     rows = _read_numeric_rows(path)

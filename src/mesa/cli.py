@@ -181,10 +181,7 @@ def cmd_estimate(args) -> int:
     if args.demean:
         ts = TimeSeries(samples=ts.samples - ts.samples.mean(), dt=ts.dt)
     max_order = args.max_order if args.max_order is not None else selection.max_order(len(ts))
-    if max_order > len(ts) - 1:
-        raise ValidationError(f"--max-order must be < n = {len(ts)}")
-    trace = fit(ts, max_order, args.method, keep_coefficients=False,
-                criterion=args.criterion, early_stop=_early_stop(args))
+    trace = fit(ts, max_order, args.method, criterion=args.criterion, early_stop=_early_stop(args))
     sel = selection.select_order(trace, args.criterion)
     model = trace.model(sel.chosen_order)
     grid = None
@@ -250,8 +247,8 @@ def cmd_compare(args) -> int:
     ts = synth.generate_from_psd(target, n, dt, args.seed)
 
     max_order = selection.max_order(n)
-    trace = fit(ts, max_order, EstimatorMethod.BURG, keep_coefficients=False,
-                criterion=args.criterion, early_stop=_early_stop(args))
+    trace = fit(ts, max_order, EstimatorMethod.BURG, criterion=args.criterion,
+                early_stop=_early_stop(args))
     sel = selection.select_order(trace, args.criterion)
     model = trace.model(sel.chosen_order)
 

@@ -176,10 +176,9 @@ class RecursionTrace:
     """Per-order output of the Levinson/Burg recursion.
 
     ``p[k]`` is the prediction-error power at order k (k = 0..M) and ``c[k]``
-    the reflection coefficient taking order k to k+1. ``coeffs`` optionally
-    retains every order's coefficient vector; in the memory-lean mode
-    (``coeffs is None``) vectors are reconstructed on demand by replaying
-    the order-update from ``c``.
+    the reflection coefficient taking order k to k+1. The trace keeps O(M)
+    numbers: every order's coefficient vector follows from ``c`` and is
+    rebuilt on demand by replaying the order-update (:meth:`coefficients`).
 
     When the fit ran an order scan to stop the recursion, ``selection`` is
     that scan's result and ``early_stop`` the config it ran with.
@@ -187,7 +186,6 @@ class RecursionTrace:
 
     p: np.ndarray
     c: np.ndarray
-    coeffs: tuple | None
     dt: float
     n_samples: int | None = None
     selection: OrderSelection | None = None
@@ -206,24 +204,15 @@ class RecursionTrace:
         slack = 1e-12 * (self.p[0] if self.p[0] > 0 else 1.0)
         _require(bool((np.diff(self.p) <= slack).all()), "p must be non-increasing")
         _require(np.isfinite(self.dt) and self.dt > 0, "dt must be finite and > 0")
-        if self.coeffs is not None:
-            coeffs = tuple(_readonly(v) for v in self.coeffs)
-            object.__setattr__(self, "coeffs", coeffs)
-            _require(len(coeffs) == self.p.size, "need one coefficient vector per order")
-            for k, vec in enumerate(coeffs):
-                _require(vec.size == k + 1 and vec[0] == 1.0,
-                         "order-k coefficient vector must have length k+1 and lead with 1")
 
     @property
     def max_order(self) -> int:
         return int(self.c.size)
 
     def coefficients(self, order: int) -> np.ndarray:
-        """Coefficient vector (1, a_1, .., a_order); replays the recursion if lean."""
+        """Coefficient vector (1, a_1, .., a_order), replayed from ``c``."""
         if not 0 <= order <= self.max_order:
             raise ValidationError(f"order {order} outside trace range 0..{self.max_order}")
-        if self.coeffs is not None:
-            return self.coeffs[order]
         a = np.ones(1)
         for k in range(order):
             a = _levinson_update(a, self.c[k])
@@ -237,16 +226,13 @@ class RecursionTrace:
         return {
             "p": [float(v) for v in self.p],
             "c": [float(v) for v in self.c],
-            "coeffs": None if self.coeffs is None
-            else [[float(v) for v in vec] for vec in self.coeffs],
             "dt": self.dt,
             "n_samples": self.n_samples,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "RecursionTrace":
-        return cls(p=d["p"], c=d["c"], coeffs=d["coeffs"], dt=d["dt"],
-                   n_samples=d.get("n_samples"))
+        return cls(p=d["p"], c=d["c"], dt=d["dt"], n_samples=d.get("n_samples"))
 
 
 @dataclass(frozen=True, eq=False)

@@ -97,13 +97,6 @@ def reflection_burg(fwd: np.ndarray, bwd: np.ndarray) -> float:
     return float(np.clip(c, -1.0, 1.0))
 
 
-def _replay_coefficients(c: np.ndarray) -> tuple:
-    out = [np.ones(1)]
-    for ck in c:
-        out.append(_levinson_update(out[-1], ck))
-    return tuple(out)
-
-
 def _levinson_steps(r: np.ndarray, p, max_order: int):
     """Yield ``(p_{k+1}, c_k)`` of the Levinson recursion on ``r``, as ``burg_lattice``."""
     a = np.ones(1)
@@ -113,7 +106,7 @@ def _levinson_steps(r: np.ndarray, p, max_order: int):
         yield p, ck
 
 
-def _run(p0, steps, dt, n_samples, keep_coefficients, criterion=None, early_stop=None):
+def _run(p0, steps, dt, n_samples, criterion=None, early_stop=None):
     """Draw orders from ``steps`` into a trace, as far as the scan of ``criterion`` reads."""
     p, c = [p0], []
 
@@ -129,25 +122,21 @@ def _run(p0, steps, dt, n_samples, keep_coefficients, criterion=None, early_stop
             pass
     else:
         selection = scan_orders(p0, recorded(), criterion, n_samples, early_stop)
-    c = np.array(c, dtype=np.float64)
-    coeffs = _replay_coefficients(c) if keep_coefficients else None
-    return RecursionTrace(p=np.array(p, dtype=np.float64), c=c, coeffs=coeffs, dt=dt,
-                          n_samples=n_samples, selection=selection, early_stop=early_stop)
+    return RecursionTrace(p=np.array(p, dtype=np.float64), c=np.array(c, dtype=np.float64),
+                          dt=dt, n_samples=n_samples, selection=selection, early_stop=early_stop)
 
 
 def fit(
     ts: TimeSeries,
     max_order: int,
     method: EstimatorMethod | str = EstimatorMethod.BURG,
-    keep_coefficients: bool = True,
     criterion: Criterion | str | None = None,
     early_stop: EarlyStopConfig | None = None,
 ) -> RecursionTrace:
     """Run the recursion on ``ts`` up to ``max_order``.
 
-    With ``keep_coefficients=False`` only the powers and reflection
-    coefficients are retained (memory-lean mode for large orders); the
-    per-order vectors are then rebuilt on demand by the trace.
+    The trace holds the powers and reflection coefficients only; each
+    order's coefficient vector is rebuilt from them on demand.
 
     With a ``criterion``, its order-selection scan runs as the orders are
     computed, and the recursion stops where the scan stops: the trace ends
@@ -175,7 +164,7 @@ def fit(
         if r[0] == 0.0:
             raise DegenerateModelError("zero-variance input")
         p0, steps = r[0], _levinson_steps(r, r[0], max_order)
-    return _run(p0, steps, ts.dt, n, keep_coefficients, criterion, early_stop)
+    return _run(p0, steps, ts.dt, n, criterion, early_stop)
 
 
 def fit_from_autocorr(
@@ -183,7 +172,6 @@ def fit_from_autocorr(
     max_order: int,
     dt: float = 1.0,
     n_samples: int | None = None,
-    keep_coefficients: bool = True,
 ) -> RecursionTrace:
     """Levinson recursion from a given autocorrelation sequence.
 
@@ -195,7 +183,7 @@ def fit_from_autocorr(
         raise ValidationError(f"max_order must be in [1, {r.size - 1}], got {max_order}")
     if r[0] == 0.0:
         raise DegenerateModelError("zero-variance autocorrelation")
-    return _run(r[0], _levinson_steps(r, r[0], max_order), dt, n_samples, keep_coefficients)
+    return _run(r[0], _levinson_steps(r, r[0], max_order), dt, n_samples)
 
 
 def reflection_coefficients(a: np.ndarray) -> np.ndarray:

@@ -93,7 +93,7 @@ def run_compare(seed: int) -> dict:
     fs = 4096.0
     n = int(5 * fs)
     ts = generate_from_psd(three_peak_curve, n, 1.0 / fs, rng_seed=seed)
-    trace = fit(ts, max_order(n), keep_coefficients=False)
+    trace = fit(ts, max_order(n))
     sel = select_order(trace, "fpe")
     welch = welch_psd(ts, 1024, 0.5, tukey_window(1024, 0.4))
     truth = SpectralDensity(freqs=welch.freqs, values=three_peak_curve(welch.freqs),

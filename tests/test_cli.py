@@ -85,6 +85,15 @@ def test_estimate_binary_input(tmp_path):
                 "--out-prefix", tmp_path / "b"]) == 0
 
 
+def test_estimate_binary_input_truncated(tmp_path):
+    x = np.random.default_rng(2).standard_normal(1000)
+    path = tmp_path / "raw.f64"
+    path.write_bytes(x.astype("<f8").tobytes() + b"\x00\x01\x02")
+    assert run(["estimate", "--in", path, "--binary", "--dt", "0.25",
+                "--out-prefix", tmp_path / "b"]) == 2
+    assert not (tmp_path / "b_model.json").exists()
+
+
 def test_estimate_usage_errors(tmp_path):
     data = write_noise(tmp_path / "noise.csv")
     with pytest.raises(SystemExit) as err:
@@ -95,6 +104,9 @@ def test_estimate_usage_errors(tmp_path):
         run(["estimate", "--in", data, "--dt", "0.01", "--max-order", "0",
              "--out-prefix", tmp_path / "x"])
     assert err.value.code == 2
+    # an order the 2000-row input cannot support
+    assert run(["estimate", "--in", data, "--dt", "0.01", "--max-order", "2000",
+                "--out-prefix", tmp_path / "x"]) == 2
     # missing --dt on single-column input
     assert run(["estimate", "--in", data, "--out-prefix", tmp_path / "x"]) == 2
     # unreadable input

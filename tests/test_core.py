@@ -69,22 +69,22 @@ def test_armodel_invalid(a, p_m, dt):
 
 
 def test_trace_invariants():
-    tr = RecursionTrace(p=[2.0, 1.5, 1.5], c=[-0.5, 0.0],
-                        coeffs=([1.0], [1.0, -0.5], [1.0, -0.5, 0.0]), dt=1.0)
+    tr = RecursionTrace(p=[2.0, 1.5, 1.5], c=[-0.5, 0.0], dt=1.0)
     assert tr.max_order == 2
-    np.testing.assert_allclose(tr.coefficients(1), [1.0, -0.5])
+    for k, vec in enumerate(([1.0], [1.0, -0.5], [1.0, -0.5, 0.0])):
+        np.testing.assert_array_equal(tr.coefficients(k), vec)
     m = tr.model(1)
     assert m.order == 1 and m.p_m == 1.5
 
     with pytest.raises(ValidationError):
-        RecursionTrace(p=[1.0, 2.0], c=[0.5], coeffs=None, dt=1.0)  # increasing p
+        RecursionTrace(p=[1.0, 2.0], c=[0.5], dt=1.0)  # increasing p
     with pytest.raises(ValidationError):
-        RecursionTrace(p=[1.0, 0.5], c=[1.5], coeffs=None, dt=1.0)  # |c| > 1
+        RecursionTrace(p=[1.0, 0.5], c=[1.5], dt=1.0)  # |c| > 1
     with pytest.raises(ValidationError):
-        RecursionTrace(p=[1.0, -0.5], c=[0.5], coeffs=None, dt=1.0)  # negative power
+        RecursionTrace(p=[1.0, -0.5], c=[0.5], dt=1.0)  # negative power
 
 
-def test_trace_lean_replay_matches_stored():
+def test_trace_replay_matches_hand_built_vectors():
     rng = np.random.default_rng(7)
     c = rng.uniform(-0.8, 0.8, size=6)
     p = np.empty(7)
@@ -95,10 +95,9 @@ def test_trace_lean_replay_matches_stored():
     for ck in c:
         prev = coeffs[-1]
         coeffs.append(np.concatenate([prev, [0.0]]) + ck * np.concatenate([[0.0], prev[::-1]]))
-    full = RecursionTrace(p=p, c=c, coeffs=tuple(coeffs), dt=1.0)
-    lean = RecursionTrace(p=p, c=c, coeffs=None, dt=1.0)
+    trace = RecursionTrace(p=p, c=c, dt=1.0)
     for k in range(7):
-        np.testing.assert_array_equal(full.coefficients(k), lean.coefficients(k))
+        np.testing.assert_array_equal(trace.coefficients(k), coeffs[k])
 
 
 def test_spectral_density_invariants():
@@ -150,12 +149,14 @@ def test_json_roundtrips_are_exact():
     np.testing.assert_array_equal(back.a, m.a)
     assert back.p_m == m.p_m and back.dt == m.dt
 
-    tr = RecursionTrace(p=[1.0, 0.75], c=[-0.5], coeffs=([1.0], [1.0, -0.5]),
-                        dt=0.25, n_samples=100)
+    tr = RecursionTrace(p=[1.0, 0.75], c=[-0.5], dt=0.25, n_samples=100)
+    assert set(tr.to_dict()) == {"p", "c", "dt", "n_samples"}
     back = _roundtrip(tr, RecursionTrace)
     np.testing.assert_array_equal(back.p, tr.p)
     np.testing.assert_array_equal(back.c, tr.c)
-    assert back.n_samples == 100
+    for k, vec in enumerate(([1.0], [1.0, -0.5])):
+        np.testing.assert_array_equal(back.coefficients(k), vec)
+    assert back.dt == 0.25 and back.n_samples == 100
 
     sd = SpectralDensity(freqs=[0.0, 0.1, 0.2], values=[1.0, 2.0, 3.0], sided="two_sided")
     back = _roundtrip(sd, SpectralDensity)

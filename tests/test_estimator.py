@@ -3,6 +3,8 @@
 Oracles live in this file and stay dumb: autocorrelation as the literal
 defining sum, Yule-Walker coefficients as a dense Toeplitz solve.
 """
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.signal import lfilter
@@ -18,6 +20,7 @@ from mesa.estimator import (
     reflection_yule_walker,
     sample_autocorrelation,
 )
+from mesa.selection import max_order
 
 
 def autocorr_oracle(x, max_lag):
@@ -233,13 +236,29 @@ def test_fit_scale_equivariance():
     np.testing.assert_allclose(t2.coefficients(8), t1.coefficients(8), rtol=1e-9, atol=1e-12)
 
 
-def test_fit_lean_mode_reconstructs_final_vector():
+def test_fit_coefficients_replay_levinson_chain():
     x = np.random.default_rng(6).standard_normal(500)
-    ts = TimeSeries(x, dt=1.0)
-    full = fit(ts, 10, keep_coefficients=True)
-    lean = fit(ts, 10, keep_coefficients=False)
-    assert lean.coeffs is None
-    np.testing.assert_array_equal(lean.coefficients(10), full.coefficients(10))
+    trace = fit(TimeSeries(x, dt=1.0), 10)
+    a = np.ones(1)
+    for k in range(11):
+        np.testing.assert_array_equal(trace.coefficients(k), a)
+        if k < 10:
+            a, _ = levinson_step(a, 1.0, trace.c[k])
+
+
+def test_fit_state_is_linear_in_order():
+    # the trace keeps p and c only: no O(M^2) store of every order's vector
+    n = 8000
+    ts = TimeSeries(np.random.default_rng(8).standard_normal(n), dt=1.0)
+    m = max_order(n)
+    tracemalloc.start()
+    try:
+        trace = fit(ts, m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert trace.max_order == m
+    assert peak < 2_000_000, f"fit peak {peak / 1e6:.1f} MB at M={m}"
 
 
 def test_reflection_coefficients_inverts_replay():

@@ -28,7 +28,7 @@ from mesa.synth import generate_ar, generate_from_psd, random_ar_model
 
 
 def make_trace(p, c, n):
-    return RecursionTrace(p=p, c=c, coeffs=None, dt=1.0, n_samples=n)
+    return RecursionTrace(p=p, c=c, dt=1.0, n_samples=n)
 
 
 # --- max_order ---------------------------------------------------------------
@@ -193,7 +193,7 @@ def test_obd_uses_per_order_coefficients():
     # direct loss evaluation must match the scan's stored losses
     x = np.random.default_rng(7).standard_normal(1000)
     ts = TimeSeries(x, dt=1.0)
-    trace = fit(ts, 12, keep_coefficients=True)
+    trace = fit(ts, 12)
     sel = select_order(trace, "obd", EarlyStopConfig.full_scan())
     for m in range(13):
         expected = loss_obd(trace.p, trace.coefficients(m), 1000, m)
@@ -201,7 +201,7 @@ def test_obd_uses_per_order_coefficients():
 
 
 def test_trace_without_sample_count_rejected():
-    trace = RecursionTrace(p=[1.0, 0.5], c=[np.sqrt(0.5)], coeffs=None, dt=1.0)
+    trace = RecursionTrace(p=[1.0, 0.5], c=[np.sqrt(0.5)], dt=1.0)
     with pytest.raises(ValidationError):
         select_order(trace, "fpe")
 
@@ -244,7 +244,7 @@ def parity_input(name):
     else:
         # AR(2) with a reflection coefficient of 0.977: a pole close to the unit circle
         ts = generate_ar(random_ar_model(142, 2, 200), PARITY_N, rng_seed=13)
-    return ts, fit(ts, max_order(PARITY_N), keep_coefficients=False)
+    return ts, fit(ts, max_order(PARITY_N))
 
 
 @pytest.mark.parametrize("scan", ["default", "full"])
@@ -255,8 +255,7 @@ def test_stopped_fit_matches_full_fit(name, crit, scan):
     m_max = full.max_order
     cfg = EarlyStopConfig.default(m_max, crit) if scan == "default" else EarlyStopConfig.full_scan()
     expected = select_order(full, crit, cfg)
-    stopped = fit(ts, m_max, keep_coefficients=False, criterion=crit,
-                  early_stop=None if scan == "default" else cfg)
+    stopped = fit(ts, m_max, criterion=crit, early_stop=None if scan == "default" else cfg)
     got = select_order(stopped, crit, cfg)
     assert got.to_dict() == expected.to_dict()
     # the scan that stopped the recursion is the one select_order returns
@@ -273,23 +272,22 @@ def test_stopped_fit_matches_full_fit(name, crit, scan):
 
 def test_stopped_trace_rejects_another_scan():
     ts, full = parity_input("white")
-    stopped = fit(ts, full.max_order, keep_coefficients=False, criterion="fpe")
+    stopped = fit(ts, full.max_order, criterion="fpe")
     assert stopped.selection.early_stopped
     for crit, cfg in (("obd", None), ("fpe", EarlyStopConfig.full_scan())):
         with pytest.raises(ValidationError):
             select_order(stopped, crit, cfg)
     # a recursion its scan read to the end can be scanned again
-    whole = fit(ts, 300, keep_coefficients=False, criterion="fpe",
-                early_stop=EarlyStopConfig.full_scan())
-    expected = select_order(fit(ts, 300, keep_coefficients=False), "obd")
+    whole = fit(ts, 300, criterion="fpe", early_stop=EarlyStopConfig.full_scan())
+    expected = select_order(fit(ts, 300), "obd")
     assert select_order(whole, "obd").to_dict() == expected.to_dict()
 
 
 def test_stopped_fit_yule_walker_matches_full_fit():
     ts, _ = parity_input("three-peak")
-    full = fit(ts, 400, "yule_walker", keep_coefficients=False)
+    full = fit(ts, 400, "yule_walker")
     cfg = EarlyStopConfig.default(400, "fpe")
-    stopped = fit(ts, 400, "yule_walker", keep_coefficients=False, criterion="fpe")
+    stopped = fit(ts, 400, "yule_walker", criterion="fpe")
     assert select_order(stopped, "fpe", cfg).to_dict() == select_order(full, "fpe", cfg).to_dict()
     assert stopped.max_order < 400
     assert stopped.c.tobytes() == full.c[: stopped.max_order].tobytes()
