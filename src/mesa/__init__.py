@@ -23,11 +23,9 @@ from mesa.core import (
     ValidationError,
 )
 from mesa.estimator import (
-    EstimatorMethod,
     fit,
     fit_from_autocorr,
     levinson_step,
-    reflection_burg,
     reflection_coefficients,
     reflection_yule_walker,
     sample_autocorrelation,

@@ -24,7 +24,7 @@ from mesa.core import (
     TimeSeries,
     ValidationError,
 )
-from mesa.estimator import EstimatorMethod, fit
+from mesa.estimator import fit
 from mesa.selection import EarlyStopConfig
 
 
@@ -49,10 +49,11 @@ def _add_input_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_early_stop_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--no-early-stop", action="store_true",
-                   help="scan every order up to the maximum (reproducibility flag)")
-    p.add_argument("--patience", type=_positive_int, default=None,
-                   help="orders without a new minimum before the scan stops")
+    stop = p.add_mutually_exclusive_group()
+    stop.add_argument("--no-early-stop", action="store_true",
+                      help="scan every order up to the maximum (reproducibility flag)")
+    stop.add_argument("--patience", type=_positive_int, default=None,
+                      help="orders without a new minimum before the scan stops")
 
 
 def _early_stop(args) -> EarlyStopConfig | None:
@@ -74,7 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", help="fit an AR model, select its order and write the PSD")
     _add_input_args(p)
     p.add_argument("--criterion", choices=[c.value for c in Criterion], default="fpe")
-    p.add_argument("--method", choices=[m.value for m in EstimatorMethod], default="burg")
     p.add_argument("--max-order", type=_positive_int, default=None,
                    help="recursion depth (default: 2N/ln 2N)")
     p.add_argument("--demean", action="store_true", help="subtract the sample mean before fitting")
@@ -168,7 +168,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_model(path) -> ArModel:
     with open(path, "r") as handle:
-        return ArModel.from_dict(json.load(handle))
+        data = json.load(handle)
+    try:
+        return ArModel.from_dict(data)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"{path}: not an AR model JSON: {exc!r}") from exc
 
 
 def _emit_psd(path, sd: SpectralDensity, sided: Sided) -> None:
@@ -181,7 +185,7 @@ def cmd_estimate(args) -> int:
     if args.demean:
         ts = TimeSeries(samples=ts.samples - ts.samples.mean(), dt=ts.dt)
     max_order = args.max_order if args.max_order is not None else selection.max_order(len(ts))
-    trace = fit(ts, max_order, args.method, criterion=args.criterion, early_stop=_early_stop(args))
+    trace = fit(ts, max_order, criterion=args.criterion, early_stop=_early_stop(args))
     sel = selection.select_order(trace, args.criterion)
     model = trace.model(sel.chosen_order)
     grid = None
@@ -247,8 +251,7 @@ def cmd_compare(args) -> int:
     ts = synth.generate_from_psd(target, n, dt, args.seed)
 
     max_order = selection.max_order(n)
-    trace = fit(ts, max_order, EstimatorMethod.BURG, criterion=args.criterion,
-                early_stop=_early_stop(args))
+    trace = fit(ts, max_order, criterion=args.criterion, early_stop=_early_stop(args))
     sel = selection.select_order(trace, args.criterion)
     model = trace.model(sel.chosen_order)
 

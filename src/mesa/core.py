@@ -222,18 +222,6 @@ class RecursionTrace:
         """AR model for one order of the recursion."""
         return ArModel(a=self.coefficients(order), p_m=self.p[order], dt=self.dt)
 
-    def to_dict(self) -> dict:
-        return {
-            "p": [float(v) for v in self.p],
-            "c": [float(v) for v in self.c],
-            "dt": self.dt,
-            "n_samples": self.n_samples,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RecursionTrace":
-        return cls(p=d["p"], c=d["c"], dt=d["dt"], n_samples=d.get("n_samples"))
-
 
 @dataclass(frozen=True, eq=False)
 class SpectralDensity:

@@ -1,20 +1,16 @@
 """AR model fitting via the Levinson/Burg recursion.
 
-Two routes produce a :class:`~mesa.core.RecursionTrace`:
-
-* ``burg`` (default): data-driven reflection coefficients from the
-  forward/backward prediction errors of the samples themselves.
-* ``yule_walker``: reflection coefficients from the sample autocorrelation,
-  i.e. the literal Levinson-Durbin solve of the Toeplitz normal equations.
-  Kept as a cross-check oracle for the Burg route.
+:func:`fit` runs Burg's recursion: the reflection coefficients come from
+the forward/backward prediction errors of the samples themselves, streamed
+one order at a time by :func:`burg_lattice`. :func:`fit_from_autocorr` is
+the literal Levinson-Durbin solve of the Yule-Walker (Toeplitz normal)
+equations on a given autocorrelation sequence, kept as the cross-check
+oracle for the Burg route. Both produce a :class:`~mesa.core.RecursionTrace`.
 """
 from __future__ import annotations
 
-import enum
-
 import numpy as np
 
-from mesa._kernels import burg_lattice
 from mesa.core import (
     Criterion,
     DegenerateModelError,
@@ -24,11 +20,6 @@ from mesa.core import (
     _levinson_update,
 )
 from mesa.selection import EarlyStopConfig, scan_orders
-
-
-class EstimatorMethod(enum.Enum):
-    BURG = "burg"
-    YULE_WALKER = "yule_walker"
 
 
 def sample_autocorrelation(ts: TimeSeries, max_lag: int) -> np.ndarray:
@@ -80,23 +71,6 @@ def reflection_yule_walker(a: np.ndarray, r: np.ndarray, p: float) -> float:
     return -delta / p
 
 
-def reflection_burg(fwd: np.ndarray, bwd: np.ndarray) -> float:
-    """Burg reflection coefficient from aligned forward/backward errors.
-
-    c = -2 sum(fwd*bwd) / sum(fwd^2 + bwd^2); |c| <= 1 by Cauchy-Schwarz
-    and the AM-GM inequality.
-    """
-    fwd = np.asarray(fwd, dtype=np.float64)
-    bwd = np.asarray(bwd, dtype=np.float64)
-    if fwd.shape != bwd.shape:
-        raise ValidationError("fwd and bwd must have equal length")
-    den = float(fwd @ fwd + bwd @ bwd)
-    if den == 0.0:
-        raise DegenerateModelError("prediction errors vanished")
-    c = -2.0 * float(fwd @ bwd) / den
-    return float(np.clip(c, -1.0, 1.0))
-
-
 def _levinson_steps(r: np.ndarray, p, max_order: int):
     """Yield ``(p_{k+1}, c_k)`` of the Levinson recursion on ``r``, as ``burg_lattice``."""
     a = np.ones(1)
@@ -104,6 +78,52 @@ def _levinson_steps(r: np.ndarray, p, max_order: int):
         ck = float(np.clip(reflection_yule_walker(a, r, p), -1.0, 1.0))
         a, p = levinson_step(a, p, ck)
         yield p, ck
+
+
+def burg_lattice(x: np.ndarray, max_order: int):
+    """Start the Burg lattice recursion on ``x``, up to ``max_order``.
+
+    Returns ``(p0, steps)``: the order-0 prediction-error power and a
+    generator that yields ``(p_{k+1}, c_k)`` for k = 0..max_order-1, the
+    power after each order and the reflection coefficient that reached it.
+    An order is computed only when the generator is advanced, so a consumer
+    that stops reading stops the recursion. Forward/backward error sequences
+    start as the signal itself and lose one usable sample per order.
+    """
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    p0 = x @ x / x.shape[0]
+    if p0 == 0.0:
+        raise DegenerateModelError("zero-variance input")
+    return p0, _steps(x, p0, max_order)
+
+
+def _steps(x: np.ndarray, p, max_order: int):
+    # errors live in preallocated buffers: b is updated in place, f
+    # alternates between two buffers, so no order allocates
+    n = x.shape[0]
+    f, f_next, b = x.copy(), np.empty(n), x.copy()
+    scratch = np.empty(n)
+    for k in range(max_order):
+        size = n - k - 1
+        fa = f[1 : size + 1]
+        ba = b[:size]
+        den = fa @ fa + ba @ ba
+        if den == 0.0:
+            raise DegenerateModelError(f"prediction errors vanished at order {k}")
+        ck = -2.0 * (fa @ ba) / den
+        # |c| <= 1 analytically; clamp the last-ulp excess
+        if ck > 1.0:
+            ck = 1.0
+        elif ck < -1.0:
+            ck = -1.0
+        p = p * (1.0 - ck * ck)
+        yield p, ck
+        tmp = scratch[:size]
+        np.multiply(ba, ck, out=tmp)
+        np.add(fa, tmp, out=f_next[:size])
+        np.multiply(fa, ck, out=tmp)
+        np.add(ba, tmp, out=ba)
+        f, f_next = f_next, f
 
 
 def _run(p0, steps, dt, n_samples, criterion=None, early_stop=None):
@@ -129,11 +149,14 @@ def _run(p0, steps, dt, n_samples, criterion=None, early_stop=None):
 def fit(
     ts: TimeSeries,
     max_order: int,
-    method: EstimatorMethod | str = EstimatorMethod.BURG,
+    *,
     criterion: Criterion | str | None = None,
     early_stop: EarlyStopConfig | None = None,
 ) -> RecursionTrace:
-    """Run the recursion on ``ts`` up to ``max_order``.
+    """Run Burg's recursion on ``ts`` up to ``max_order``.
+
+    The Yule-Walker counterpart is ``fit_from_autocorr`` on
+    ``sample_autocorrelation(ts, max_order)``.
 
     The trace holds the powers and reflection coefficients only; each
     order's coefficient vector is rebuilt from them on demand.
@@ -148,7 +171,6 @@ def fit(
     computes, and a loss undefined at every order raises
     ``UndefinedLossError`` here rather than in ``select_order``.
     """
-    method = EstimatorMethod(method)
     n = len(ts)
     if not 1 <= max_order <= n - 1:
         raise ValidationError(f"max_order must be in [1, {n - 1}], got {max_order}")
@@ -156,14 +178,7 @@ def fit(
         criterion = Criterion(criterion)
         if early_stop is None:
             early_stop = EarlyStopConfig.default(max_order, criterion)
-
-    if method is EstimatorMethod.BURG:
-        p0, steps = burg_lattice(ts.samples, max_order)
-    else:
-        r = sample_autocorrelation(ts, max_order)
-        if r[0] == 0.0:
-            raise DegenerateModelError("zero-variance input")
-        p0, steps = r[0], _levinson_steps(r, r[0], max_order)
+    p0, steps = burg_lattice(ts.samples, max_order)
     return _run(p0, steps, ts.dt, n, criterion, early_stop)
 
 

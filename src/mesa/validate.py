@@ -16,7 +16,7 @@ from mesa import selection, spectrum
 from mesa._pool import map_indexed
 from mesa._rng import derive_seed
 from mesa.core import Criterion, Sided, SpectralDensity, ValidationError
-from mesa.estimator import EstimatorMethod, fit
+from mesa.estimator import fit
 from mesa.selection import EarlyStopConfig, select_order
 from mesa.synth import generate_ar, generate_from_psd, random_ar_model
 
@@ -109,7 +109,7 @@ def run_gaussian_experiment(
 
     def one(i: int):
         ts = generate_from_psd(curve, n_samples, dt, derive_seed(rng_seed, i))
-        trace = fit(ts, m_max, EstimatorMethod.BURG, criterion=criterion, early_stop=early_stop)
+        trace = fit(ts, m_max, criterion=criterion, early_stop=early_stop)
         sel = select_order(trace, criterion, early_stop)
         est = spectrum.psd(trace.model(sel.chosen_order), grid)
         return sel.chosen_order, est
@@ -165,7 +165,7 @@ def run_order_recovery(
     def one(j: int) -> OrderRecoveryRecord:
         model = random_ar_model(derive_seed(rng_seed, j, 0), p_min, p_max)
         ts = generate_ar(model, n_samples, rng_seed=derive_seed(rng_seed, j, 1))
-        trace = fit(ts, m_max, EstimatorMethod.BURG)
+        trace = fit(ts, m_max)
         p_hat = {c.value: select_order(trace, c, early_stop).chosen_order for c in criteria}
         return OrderRecoveryRecord(index=j, p_true=model.order, p_hat=p_hat)
 

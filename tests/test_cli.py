@@ -104,6 +104,11 @@ def test_estimate_usage_errors(tmp_path):
         run(["estimate", "--in", data, "--dt", "0.01", "--max-order", "0",
              "--out-prefix", tmp_path / "x"])
     assert err.value.code == 2
+    # a full scan has no patience to apply
+    with pytest.raises(SystemExit) as err:
+        run(["estimate", "--in", data, "--dt", "0.01", "--no-early-stop", "--patience", "5",
+             "--out-prefix", tmp_path / "x"])
+    assert err.value.code == 2
     # an order the 2000-row input cannot support
     assert run(["estimate", "--in", data, "--dt", "0.01", "--max-order", "2000",
                 "--out-prefix", tmp_path / "x"]) == 2
@@ -150,6 +155,23 @@ def test_generate_ar_model_roundtrip(tmp_path):
     assert run(["generate", "--model", mpath, "--n", "400", "--seed", "3", "--out", out]) == 0
     ts = read_timeseries(out, dt=0.5)
     assert len(ts) == 400
+
+
+@pytest.mark.parametrize("payload", [
+    {"a": "abc", "p_m": 1.0, "dt": 1.0},
+    {"a": [1.0, -0.5], "p_m": None, "dt": 1.0},
+    [1.0, -0.5],
+], ids=["bad-coefficients", "null-power", "top-level-list"])
+def test_malformed_model_json_is_a_usage_error(tmp_path, capsys, payload):
+    mpath = tmp_path / "model.json"
+    mpath.write_text(json.dumps(payload))
+    data = tmp_path / "seed.csv"
+    data.write_text("0.0\n1.0\n")
+    assert run(["forecast", "--model", mpath, "--in", data, "--dt", "1.0", "--horizon", "2",
+                "--seed", "1", "--out", tmp_path / "fc.csv"]) == 2
+    assert run(["generate", "--model", mpath, "--n", "10", "--seed", "1",
+                "--out", tmp_path / "sim.csv"]) == 2
+    assert str(mpath) in capsys.readouterr().err
 
 
 def test_welch_command(tmp_path):

@@ -149,15 +149,6 @@ def test_json_roundtrips_are_exact():
     np.testing.assert_array_equal(back.a, m.a)
     assert back.p_m == m.p_m and back.dt == m.dt
 
-    tr = RecursionTrace(p=[1.0, 0.75], c=[-0.5], dt=0.25, n_samples=100)
-    assert set(tr.to_dict()) == {"p", "c", "dt", "n_samples"}
-    back = _roundtrip(tr, RecursionTrace)
-    np.testing.assert_array_equal(back.p, tr.p)
-    np.testing.assert_array_equal(back.c, tr.c)
-    for k, vec in enumerate(([1.0], [1.0, -0.5])):
-        np.testing.assert_array_equal(back.coefficients(k), vec)
-    assert back.dt == 0.25 and back.n_samples == 100
-
     sd = SpectralDensity(freqs=[0.0, 0.1, 0.2], values=[1.0, 2.0, 3.0], sided="two_sided")
     back = _roundtrip(sd, SpectralDensity)
     np.testing.assert_array_equal(back.freqs, sd.freqs)

@@ -11,11 +11,9 @@ from scipy.signal import lfilter
 
 from mesa.core import DegenerateModelError, TimeSeries, ValidationError
 from mesa.estimator import (
-    EstimatorMethod,
     fit,
     fit_from_autocorr,
     levinson_step,
-    reflection_burg,
     reflection_coefficients,
     reflection_yule_walker,
     sample_autocorrelation,
@@ -135,25 +133,6 @@ def test_reflection_yule_walker_degenerate():
         reflection_yule_walker(np.ones(1), np.array([1.0, 0.5]), 0.0)
 
 
-def test_reflection_burg_examples():
-    v = np.array([0.3, -1.2, 0.7])
-    assert reflection_burg(v, v) == pytest.approx(-1.0)
-    assert reflection_burg(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
-    fwd = np.array([1.0, 1.0])
-    bwd = np.array([1.0, -1.0])
-    assert reflection_burg(fwd, bwd) == 0.0
-    with pytest.raises(DegenerateModelError):
-        reflection_burg(np.zeros(3), np.zeros(3))
-
-
-def test_reflection_burg_always_bounded():
-    rng = np.random.default_rng(2)
-    for _ in range(200):
-        f = rng.standard_normal(8)
-        b = rng.standard_normal(8)
-        assert abs(reflection_burg(f, b)) <= 1.0
-
-
 # --- fit --------------------------------------------------------------------
 
 def test_fit_validates_order():
@@ -169,7 +148,7 @@ def test_fit_zero_signal_degenerate():
     with pytest.raises(DegenerateModelError):
         fit(ts, 4)
     with pytest.raises(DegenerateModelError):
-        fit(ts, 4, "yule_walker")
+        fit_from_autocorr(sample_autocorrelation(ts, 4), 4, ts.dt, len(ts))
 
 
 def test_fit_white_noise_has_no_structure():
@@ -184,7 +163,7 @@ def test_fit_recovers_ar1():
     x = ar_series([1.0, -0.9], 100_000, seed=3)
     ts = TimeSeries(x, dt=1.0)
     a_burg = fit(ts, 1).coefficients(1)
-    a_yw = fit(ts, 1, EstimatorMethod.YULE_WALKER).coefficients(1)
+    a_yw = fit_from_autocorr(sample_autocorrelation(ts, 1), 1, ts.dt, len(ts)).coefficients(1)
     assert a_burg[1] == pytest.approx(-0.9, abs=0.01)
     assert a_yw[1] == pytest.approx(-0.9, abs=0.01)
 
@@ -194,8 +173,8 @@ def test_yule_walker_satisfies_normal_equations():
     x = rng.standard_normal(4096)
     ts = TimeSeries(x, dt=1.0)
     m = 12
-    trace = fit(ts, m, "yule_walker")
     r = sample_autocorrelation(ts, m)
+    trace = fit_from_autocorr(r, m, ts.dt, len(ts))
     a = trace.coefficients(m)
     full = np.concatenate([r[m:0:-1], r])  # r_{-m}..r_{m}
     for lag in range(m + 1):
@@ -220,7 +199,7 @@ def test_burg_agrees_with_yule_walker_on_long_ar_data():
     x = ar_series(a_true, 200_000, seed=8)
     ts = TimeSeries(x, dt=1.0)
     a_b = fit(ts, 3).coefficients(3)
-    a_y = fit(ts, 3, "yule_walker").coefficients(3)
+    a_y = fit_from_autocorr(sample_autocorrelation(ts, 3), 3, ts.dt, len(ts)).coefficients(3)
     np.testing.assert_allclose(a_b[1:], a_y[1:], rtol=0.02)
     np.testing.assert_allclose(a_b[1:], a_true[1:], rtol=0.05)
 

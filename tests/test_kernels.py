@@ -2,8 +2,8 @@
 import numpy as np
 import pytest
 
-from mesa._kernels import burg_lattice
 from mesa.core import DegenerateModelError
+from mesa.estimator import burg_lattice
 
 
 def drain(x, max_order):
@@ -51,6 +51,22 @@ def test_perfectly_predictable_raises():
     assert next(steps) == (0.0, 1.0)
     with pytest.raises(DegenerateModelError):
         next(steps)
+
+
+def test_constant_series_reflects_fully():
+    # equal forward and backward errors give c = -1 and zero power; both
+    # errors then vanish, so the next order is degenerate
+    _, steps = burg_lattice(np.full(8, 0.7), 4)
+    assert next(steps) == (0.0, -1.0)
+    with pytest.raises(DegenerateModelError):
+        next(steps)
+
+
+def test_orthogonal_errors_reflect_nothing():
+    # the first forward errors (1, -1) and backward errors (1, 1) are orthogonal
+    x = np.array([1.0, 1.0, -1.0])
+    p0, steps = burg_lattice(x, 1)
+    assert next(steps) == (p0, 0.0)
 
 
 def test_powers_non_increasing_and_reflections_bounded():

@@ -283,16 +283,6 @@ def test_stopped_trace_rejects_another_scan():
     assert select_order(whole, "obd").to_dict() == expected.to_dict()
 
 
-def test_stopped_fit_yule_walker_matches_full_fit():
-    ts, _ = parity_input("three-peak")
-    full = fit(ts, 400, "yule_walker")
-    cfg = EarlyStopConfig.default(400, "fpe")
-    stopped = fit(ts, 400, "yule_walker", criterion="fpe")
-    assert select_order(stopped, "fpe", cfg).to_dict() == select_order(full, "fpe", cfg).to_dict()
-    assert stopped.max_order < 400
-    assert stopped.c.tobytes() == full.c[: stopped.max_order].tobytes()
-
-
 def test_stopped_fit_skips_degenerate_orders_it_never_reads():
     # alternating signal: order 1 predicts it exactly, and order 2 is degenerate
     ts = TimeSeries(np.array([1.0, -1.0] * 8), dt=1.0)

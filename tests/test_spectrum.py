@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from mesa.core import AccuracyError, ArModel, Sided, SpectralDensity, TimeSeries, ValidationError
-from mesa.estimator import fit, sample_autocorrelation
+from mesa.estimator import fit, fit_from_autocorr, sample_autocorrelation
 from mesa.spectrum import (
     autocorr_from_psd,
     default_grid_size,
@@ -120,14 +120,14 @@ def test_flat_spectrum_autocorrelation():
 
 
 def test_model_psd_reproduces_sample_autocorrelation():
-    # yule_walker fit satisfies the normal equations exactly, so quadrature
+    # the Yule-Walker fit satisfies the normal equations exactly, so quadrature
     # of its PSD must give back the sample autocorrelation at lags 0..m
     rng = np.random.default_rng(5)
     x = rng.standard_normal(4096)
     ts = TimeSeries(x, dt=1.0)
     m = 8
-    trace = fit(ts, m, "yule_walker")
     r = sample_autocorrelation(ts, m)
+    trace = fit_from_autocorr(r, m, ts.dt, len(ts))
     sd = psd(trace.model(m), frequency_grid(2**14 + 1, 1.0, "two_sided"))
     rho = autocorr_from_psd(sd, np.arange(m + 1))
     np.testing.assert_allclose(rho, r, rtol=1e-3, atol=1e-3 * r[0])
@@ -139,8 +139,8 @@ def test_yule_walker_residuals_from_model_psd():
     x = rng.standard_normal(4096)
     ts = TimeSeries(x, dt=0.5)
     m = 6
-    for method in ("burg", "yule_walker"):
-        trace = fit(ts, m, method)
+    yule_walker = fit_from_autocorr(sample_autocorrelation(ts, m), m, ts.dt, len(ts))
+    for trace in (fit(ts, m), yule_walker):
         model = trace.model(m)
         sd = psd(model, frequency_grid(2**14 + 1, 0.5, "two_sided"))
         rho = autocorr_from_psd(sd, np.arange(-m, m + 1))
