@@ -33,10 +33,7 @@ from mesa.estimator import (
 from mesa.forecast import ForecastSummary, forecast, forecast_summary
 from mesa.selection import (
     EarlyStopConfig,
-    loss_cat,
-    loss_cat_inverse_sum,
     loss_fpe,
-    loss_obd,
     max_order,
     select_order,
 )

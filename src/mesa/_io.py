@@ -37,17 +37,20 @@ def atomic_write_text(path, text: str) -> None:
 def _read_numeric_rows(path) -> list[list[float]]:
     rows = []
     with open(path, "r") as handle:
-        for lineno, line in enumerate(handle):
-            line = line.strip()
-            if not line:
-                continue
-            parts = [p for p in line.replace(",", " ").split() if p]
-            try:
-                rows.append([float(p) for p in parts])
-            except ValueError:
-                if lineno == 0:
-                    continue  # header line
-                raise ValidationError(f"{path}: unparseable row {lineno + 1}: {line!r}")
+        try:
+            for lineno, line in enumerate(handle):
+                line = line.strip()
+                if not line:
+                    continue
+                parts = [p for p in line.replace(",", " ").split() if p]
+                try:
+                    rows.append([float(p) for p in parts])
+                except ValueError:
+                    if lineno == 0:
+                        continue  # header line
+                    raise ValidationError(f"{path}: unparseable row {lineno + 1}: {line!r}")
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path}: not a text file ({exc.reason})") from exc
     if not rows:
         raise ValidationError(f"{path}: no data rows")
     width = len(rows[0])

@@ -1,8 +1,8 @@
 """Deterministic random streams.
 
 Every randomized operation takes an explicit integer seed and derives
-Philox (counter-based) streams from it. Sub-streams are keyed by index so
-parallel and serial execution of ensemble members draw identical numbers.
+Philox (counter-based) streams from it. Sub-streams are keyed by index, so
+an ensemble member draws the same numbers whatever the other members do.
 """
 from __future__ import annotations
 

@@ -3,7 +3,7 @@
 Subcommands: estimate | forecast | generate | welch | compare | experiment.
 Exit codes: 0 ok, 2 usage or I/O error, 3 numerical/degenerate error.
 Randomized commands require an explicit --seed and are deterministic given
-it; MESA_THREADS caps the experiment worker count.
+it.
 """
 from __future__ import annotations
 
@@ -167,10 +167,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_model(path) -> ArModel:
-    with open(path, "r") as handle:
-        data = json.load(handle)
     try:
-        return ArModel.from_dict(data)
+        with open(path, "r") as handle:
+            return ArModel.from_dict(json.load(handle))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"{path}: not an AR model JSON: {exc!r}") from exc
 
@@ -335,7 +334,7 @@ def main(argv=None) -> int:
     except SpectralError as exc:
         print(f"mesa: numerical error: {exc}", file=sys.stderr)
         return 3
-    except (ValidationError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (ValidationError, OSError) as exc:
         print(f"mesa: {exc}", file=sys.stderr)
         return 2
 

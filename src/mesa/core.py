@@ -15,8 +15,8 @@ eagerly, raising :class:`ValidationError` naming the violated constraint.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -118,13 +118,6 @@ class TimeSeries:
     def nyquist(self) -> float:
         """Highest resolvable frequency, 1/(2*dt)."""
         return 1.0 / (2.0 * self.dt)
-
-    def to_dict(self) -> dict:
-        return {"samples": [float(v) for v in self.samples], "dt": self.dt}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TimeSeries":
-        return cls(samples=d["samples"], dt=d["dt"])
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,17 +246,6 @@ class SpectralDensity:
     def __len__(self) -> int:
         return int(self.freqs.size)
 
-    def to_dict(self) -> dict:
-        return {
-            "freqs": [float(v) for v in self.freqs],
-            "values": [float(v) for v in self.values],
-            "sided": self.sided.value,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SpectralDensity":
-        return cls(freqs=d["freqs"], values=d["values"], sided=Sided(d["sided"]))
-
 
 @dataclass(frozen=True, eq=False)
 class OrderSelection:
@@ -301,12 +283,6 @@ class OrderSelection:
             "early_stopped": self.early_stopped,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "OrderSelection":
-        losses = [np.nan if v is None else v for v in d["losses"]]
-        return cls(criterion=Criterion(d["criterion"]), losses=losses,
-                   chosen_order=d["chosen_order"], early_stopped=d["early_stopped"])
-
 
 @dataclass(frozen=True, eq=False)
 class ForecastEnsemble:
@@ -333,15 +309,3 @@ class ForecastEnsemble:
     @property
     def horizon(self) -> int:
         return int(self.realizations.shape[1])
-
-    def to_dict(self) -> dict:
-        return {
-            "realizations": [[float(v) for v in row] for row in self.realizations],
-            "seed_length": self.seed_length,
-            "model": self.model.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ForecastEnsemble":
-        return cls(realizations=d["realizations"], seed_length=d["seed_length"],
-                   model=ArModel.from_dict(d["model"]))

@@ -18,17 +18,10 @@ import numpy as np
 import pytest
 
 from mesa.baseline import tukey_window, welch_psd
-from mesa.core import ArModel, Sided, SpectralDensity, TimeSeries
+from mesa.core import ArModel, Criterion, Sided, SpectralDensity, TimeSeries
 from mesa.estimator import fit, levinson_step, reflection_yule_walker, sample_autocorrelation
 from mesa.forecast import forecast, forecast_summary
-from mesa.selection import (
-    EarlyStopConfig,
-    loss_cat,
-    loss_fpe,
-    loss_obd,
-    max_order,
-    select_order,
-)
+from mesa.selection import EarlyStopConfig, loss_fpe, max_order, scan_orders, select_order
 from mesa.spectrum import autocorr_from_psd, frequency_grid, psd, to_two_sided
 from mesa.synth import generate_ar, generate_from_psd
 from mesa.validate import relative_error_freq_avg, run_gaussian_experiment, run_order_recovery
@@ -38,7 +31,6 @@ RECOVERY_SEED = 99
 COMPARE_SEEDS = tuple(range(1000, 1010))
 CALIBRATION_SEEDS = (71, 72, 73)
 GAUSSIAN_CRITERIA = ("fpe", "obd", "cat", "cat-invsum")
-RECOVERY_CRITERIA = ("fpe", "cat-invsum", "obd")
 
 
 def report(criterion: str, ok: bool, detail: str, elapsed: float | None = None):
@@ -65,11 +57,10 @@ def gaussian_results():
 
 
 def run_recovery_study():
-    # full scan: criterion 5c asserts where the loss minimum lies, and the
-    # default early stop can end the scan at a local minimum before it
-    return run_order_recovery(50, 2, 500, 30_000, rng_seed=RECOVERY_SEED,
-                              criteria=RECOVERY_CRITERIA,
-                              early_stop=EarlyStopConfig.full_scan())
+    # fpe, cat-invsum and obd, each scanning every order: criterion 5c asserts
+    # where the loss minimum lies, and an early stop can end the scan at a
+    # local minimum before it
+    return run_order_recovery(50, 2, 500, 30_000, rng_seed=RECOVERY_SEED)
 
 
 @pytest.fixture(scope="module")
@@ -367,10 +358,15 @@ def test_criterion_09_formula_values():
     close(max_order(40960), 7240, "max_order(40960)")
     close(loss_fpe(1.0, 100, 0), 101 / 99, "FPE(1,100,0)")
     close(loss_fpe(1.0, 100, 1), 102 / 98, "FPE(1,100,1)")
-    close(loss_cat([np.nan, 1.0, 1.0], 100, 1), -0.9801, "CAT m=1")
-    close(loss_cat([np.nan, 1.0, 1.0], 100, 2), -0.9603, "CAT m=2")
-    close(loss_obd([2.0], [1.0], 10, 0), 8 * math.log(2), "OBD m=0 p0=2")
-    close(loss_obd([1.0, 1.0], [1.0, 0.5], 10, 1), math.log(10) + 0.25, "OBD m=1")
+    # CAT and OBD as the order scan computes them; steps are (p_{k+1}, c_k)
+    full = EarlyStopConfig.full_scan()
+    cat = scan_orders(np.nan, [(1.0, 0.0), (1.0, 0.0)], Criterion.CAT, 100, full).losses
+    close(cat[1], -0.9801, "CAT m=1")
+    close(cat[2], -0.9603, "CAT m=2")
+    close(scan_orders(2.0, [], Criterion.OBD, 10, full).losses[0], 8 * math.log(2),
+          "OBD m=0 p0=2")
+    close(scan_orders(1.0, [(1.0, 0.5)], Criterion.OBD, 10, full).losses[1],
+          math.log(10) + 0.25, "OBD m=1")
 
     a, p = levinson_step(np.ones(1), 1.0, -0.5)
     close(a[1], -0.5, "levinson a1")

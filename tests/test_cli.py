@@ -119,6 +119,21 @@ def test_estimate_usage_errors(tmp_path):
                 "--out-prefix", tmp_path / "x"]) == 2
 
 
+def test_binary_file_without_binary_flag_is_a_usage_error(tmp_path, capsys):
+    raw = tmp_path / "x.bin"
+    np.random.default_rng(4).standard_normal(256).astype("<f8").tofile(raw)
+    commands = [
+        ["estimate", "--in", raw, "--dt", "1", "--out-prefix", tmp_path / "e"],
+        ["welch", "--in", raw, "--dt", "1", "--segment", "64", "--out", tmp_path / "w.csv"],
+        ["generate", "--psd", raw, "--n", "64", "--seed", "1", "--out", tmp_path / "g.csv"],
+        ["forecast", "--model", raw, "--in", raw, "--dt", "1", "--horizon", "2", "--seed", "1",
+         "--out", tmp_path / "f.csv"],
+    ]
+    for argv in commands:
+        assert run(argv) == 2, argv[0]
+        assert str(raw) in capsys.readouterr().err
+
+
 def test_estimate_degenerate_exit_code(tmp_path):
     path = tmp_path / "zeros.csv"
     path.write_text("\n".join(["0.0"] * 64) + "\n")
@@ -242,9 +257,10 @@ def test_experiment_order_recovery_command(tmp_path):
     assert len(lines) == 2
     rec = json.loads(lines[0])
     assert set(rec) == {"index", "p_true", "p_hat"}
-    assert set(rec["p_hat"]) == {"fpe", "cat", "obd"}
+    # the acceptance study's criteria: its CAT reading is cat-invsum
+    assert set(rec["p_hat"]) == {"fpe", "cat-invsum", "obd"}
     summary = json.loads((tmp_path / "rec_summary.json").read_text())
-    assert set(summary["p_hat"]) == {"fpe", "cat", "obd"}
+    assert set(summary["p_hat"]) == {"fpe", "cat-invsum", "obd"}
 
 
 def test_experiment_records_bit_identical_across_runs(tmp_path):

@@ -6,7 +6,6 @@ import pytest
 
 from mesa.core import (
     ArModel,
-    Criterion,
     ForecastEnsemble,
     OrderSelection,
     RecursionTrace,
@@ -133,37 +132,15 @@ def test_forecast_ensemble_invariants():
         ForecastEnsemble(realizations=np.full((2, 2), np.nan), seed_length=1, model=model)
 
 
-def _roundtrip(obj, cls):
-    return cls.from_dict(json.loads(json.dumps(obj.to_dict())))
-
-
 def test_json_roundtrips_are_exact():
-    rng = np.random.default_rng(3)
-    ts = TimeSeries(samples=rng.standard_normal(16), dt=1.0 / 3.0)
-    back = _roundtrip(ts, TimeSeries)
-    np.testing.assert_array_equal(back.samples, ts.samples)
-    assert back.dt == ts.dt
-
+    # ArModel round-trips (the CLI writes and reads it); OrderSelection is written only
     m = ArModel(a=[1.0, -np.pi / 7], p_m=np.e / 11, dt=0.001)
-    back = _roundtrip(m, ArModel)
+    back = ArModel.from_dict(json.loads(json.dumps(m.to_dict())))
     np.testing.assert_array_equal(back.a, m.a)
     assert back.p_m == m.p_m and back.dt == m.dt
 
-    sd = SpectralDensity(freqs=[0.0, 0.1, 0.2], values=[1.0, 2.0, 3.0], sided="two_sided")
-    back = _roundtrip(sd, SpectralDensity)
-    np.testing.assert_array_equal(back.freqs, sd.freqs)
-    np.testing.assert_array_equal(back.values, sd.values)
-    assert back.sided is sd.sided
-
     sel = OrderSelection(criterion="cat", losses=[np.nan, -0.5, 0.1], chosen_order=1,
                          early_stopped=True)
-    back = _roundtrip(sel, OrderSelection)
-    assert np.isnan(back.losses[0])
-    np.testing.assert_array_equal(back.losses[1:], sel.losses[1:])
-    assert back.chosen_order == 1 and back.early_stopped is True
-    assert back.criterion is Criterion.CAT
-
-    ens = ForecastEnsemble(realizations=rng.standard_normal((2, 3)), seed_length=2, model=m)
-    back = _roundtrip(ens, ForecastEnsemble)
-    np.testing.assert_array_equal(back.realizations, ens.realizations)
-    np.testing.assert_array_equal(back.model.a, m.a)
+    assert json.loads(json.dumps(sel.to_dict())) == {
+        "criterion": "cat", "losses": [None, -0.5, 0.1], "chosen_order": 1,
+        "early_stopped": True}

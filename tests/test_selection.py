@@ -17,18 +17,24 @@ from mesa.core import (
 from mesa.estimator import fit
 from mesa.selection import (
     EarlyStopConfig,
-    loss_cat,
-    loss_cat_inverse_sum,
     loss_fpe,
-    loss_obd,
     max_order,
+    scan_orders,
     select_order,
 )
 from mesa.synth import generate_ar, generate_from_psd, random_ar_model
 
+from loss_oracles import loss_cat, loss_cat_inverse_sum, loss_obd
+
 
 def make_trace(p, c, n):
     return RecursionTrace(p=p, c=c, dt=1.0, n_samples=n)
+
+
+def scan(p, criterion, n, c=None):
+    """Full scan of the powers ``p`` (indexed by order) and reflections ``c``."""
+    c = np.zeros(len(p) - 1) if c is None else c
+    return scan_orders(p[0], zip(p[1:], c), Criterion(criterion), n, EarlyStopConfig.full_scan())
 
 
 # --- max_order ---------------------------------------------------------------
@@ -59,56 +65,68 @@ def test_fpe_hand_values():
 
 def test_cat_hand_values():
     p = [np.nan, 1.0, 1.0]  # indexed by order, p[0] unused
-    assert loss_cat(p, 100, 1) == pytest.approx(-0.9801, abs=1e-12)
-    assert loss_cat(p, 100, 2) == pytest.approx(-0.9603, abs=1e-12)
+    losses = scan(p, "cat", 100).losses
+    assert losses[1] == pytest.approx(-0.9801, abs=1e-12)
+    assert losses[2] == pytest.approx(-0.9603, abs=1e-12)
+    assert np.isnan(losses[0])
     with pytest.raises(UndefinedLossError):
-        loss_cat(p, 100, 0)
+        scan([1.0], "cat", 100)  # order 0 only
     with pytest.raises(UndefinedLossError):
-        loss_cat([np.nan, 0.0], 100, 1)
+        scan([np.nan, 0.0], "cat", 100)
 
 
 def test_cat_inverse_sum_hand_values():
     p = [np.nan, 1.0, 1.0]  # indexed by order, p[0] unused
+    losses = scan(p, "cat-invsum", 100).losses
     # Pbar_k = 100 / (100 - k): m=1 -> 99/10000 - 0.99
-    assert loss_cat_inverse_sum(p, 100, 1) == pytest.approx(-0.9801, abs=1e-12)
+    assert losses[1] == pytest.approx(-0.9801, abs=1e-12)
     # m=2 -> 1 / (100 (100/99 + 100/98)) - 0.98, about -0.97507512690
-    assert loss_cat_inverse_sum(p, 100, 2) == pytest.approx(9702 / 1970000 - 0.98, abs=1e-12)
+    assert losses[2] == pytest.approx(9702 / 1970000 - 0.98, abs=1e-12)
+    assert np.isnan(losses[0])
     with pytest.raises(UndefinedLossError):
-        loss_cat_inverse_sum(p, 100, 0)
+        scan([1.0], "cat-invsum", 100)  # order 0 only
     with pytest.raises(UndefinedLossError):
-        loss_cat_inverse_sum([np.nan, 0.0], 100, 1)
-    with pytest.raises(UndefinedLossError):
-        loss_cat_inverse_sum([np.nan, 1.0, 0.0], 100, 2)
+        scan([np.nan, 0.0], "cat-invsum", 100)
+    # the scan ends before the first order with zero power
+    assert scan([np.nan, 1.0, 0.0], "cat-invsum", 100).losses.size == 2
 
 
-def test_cat_inverse_sum_scan_matches_direct_loss():
-    # the scan's running sum must match direct evaluation at every order
+@pytest.mark.parametrize("criterion,oracle", [
+    ("cat", lambda trace, n, m: loss_cat(trace.p, n, m)),
+    ("cat-invsum", lambda trace, n, m: loss_cat_inverse_sum(trace.p, n, m)),
+    ("obd", lambda trace, n, m: loss_obd(trace.p, trace.coefficients(m), n, m)),
+], ids=["cat", "cat-invsum", "obd"])
+def test_scan_matches_direct_loss(criterion, oracle):
+    # the scan's running sums (and OBD's replayed coefficient vectors) must
+    # match the closed form at every order
     x = np.random.default_rng(8).standard_normal(1000)
     trace = fit(TimeSeries(x, dt=1.0), 40)
-    sel = select_order(trace, "cat-invsum", EarlyStopConfig.full_scan())
+    sel = select_order(trace, criterion, EarlyStopConfig.full_scan())
     assert sel.losses.size == 41
-    assert np.isnan(sel.losses[0])
-    for m in range(1, 41):
-        expected = loss_cat_inverse_sum(trace.p, 1000, m)
-        assert sel.losses[m] == pytest.approx(expected, rel=1e-12)
-    assert sel.chosen_order >= 1
+    first = 0 if criterion == "obd" else 1
+    assert np.isnan(sel.losses[:first]).all()
+    for m in range(first, 41):
+        assert sel.losses[m] == pytest.approx(oracle(trace, 1000, m), rel=1e-12)
+    assert sel.chosen_order >= first
 
 
 def test_cat_scaling_leaves_argmin_unchanged():
     rng = np.random.default_rng(0)
     p = np.concatenate([[np.nan], np.cumprod(rng.uniform(0.7, 1.0, 10))])
-    losses = [loss_cat(p, 200, m) for m in range(1, 11)]
-    scaled = [loss_cat(2 * p, 200, m) for m in range(1, 11)]
-    np.testing.assert_allclose(scaled, np.asarray(losses) / 2, rtol=1e-12)
+    losses = scan(p, "cat", 200).losses[1:]
+    scaled = scan(2 * p, "cat", 200).losses[1:]
+    np.testing.assert_allclose(scaled, losses / 2, rtol=1e-12)
     assert int(np.argmin(losses)) == int(np.argmin(scaled))
 
 
 def test_obd_hand_values():
-    assert loss_obd([2.0], [1.0], 10, 0) == pytest.approx(8 * math.log(2), abs=1e-9)
-    assert loss_obd([1.0], [1.0], 10, 0) == 0.0
-    assert loss_obd([1.0, 1.0], [1.0, 0.5], 10, 1) == pytest.approx(math.log(10) + 0.25, abs=1e-9)
+    assert scan([2.0], "obd", 10).losses[0] == pytest.approx(8 * math.log(2), abs=1e-9)
+    assert scan([1.0], "obd", 10).losses[0] == 0.0
+    # the order-1 filter is (1, c_0) = (1, 0.5)
+    assert scan([1.0, 1.0], "obd", 10, c=[0.5]).losses[1] == \
+        pytest.approx(math.log(10) + 0.25, abs=1e-9)
     with pytest.raises(UndefinedLossError):
-        loss_obd([0.0], [1.0], 10, 0)
+        scan([0.0], "obd", 10)
 
 
 # --- select_order ---------------------------------------------------------------
@@ -187,17 +205,6 @@ def test_selection_is_deterministic():
     b = select_order(trace, "obd")
     assert a.chosen_order == b.chosen_order
     np.testing.assert_array_equal(a.losses, b.losses)
-
-
-def test_obd_uses_per_order_coefficients():
-    # direct loss evaluation must match the scan's stored losses
-    x = np.random.default_rng(7).standard_normal(1000)
-    ts = TimeSeries(x, dt=1.0)
-    trace = fit(ts, 12)
-    sel = select_order(trace, "obd", EarlyStopConfig.full_scan())
-    for m in range(13):
-        expected = loss_obd(trace.p, trace.coefficients(m), 1000, m)
-        assert sel.losses[m] == pytest.approx(expected, rel=1e-12)
 
 
 def test_trace_without_sample_count_rejected():

@@ -76,21 +76,14 @@ def test_gaussian_experiment_reproducible():
     assert not np.array_equal(a.errors, c.errors)
 
 
-def test_gaussian_experiment_threads_match_serial(monkeypatch):
-    serial = run_gaussian_experiment(4, 600, "fpe", rng_seed=11)
-    monkeypatch.setenv("MESA_THREADS", "4")
-    threaded = run_gaussian_experiment(4, 600, "fpe", rng_seed=11)
-    np.testing.assert_array_equal(serial.errors, threaded.errors)
-    assert [r.order for r in serial.records] == [r.order for r in threaded.records]
-
-
 def test_order_recovery_records():
     records = run_order_recovery(3, 2, 20, 4000, rng_seed=3)
     assert len(records) == 3
     for j, rec in enumerate(records):
         assert rec.index == j
         assert 2 <= rec.p_true <= 20
-        assert set(rec.p_hat) == {"fpe", "cat", "obd"}
+        # the criteria of the acceptance study, whose CAT reading is cat-invsum
+        assert list(rec.p_hat) == ["fpe", "cat-invsum", "obd"]
     again = run_order_recovery(3, 2, 20, 4000, rng_seed=3)
     assert [r.to_dict() for r in again] == [r.to_dict() for r in records]
 
