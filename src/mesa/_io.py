@@ -5,8 +5,10 @@ round-trip exactly.
 """
 from __future__ import annotations
 
+import io
 import json
 import os
+import re
 import tempfile
 from pathlib import Path
 
@@ -34,9 +36,48 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
-def _read_numeric_rows(path) -> list[list[float]]:
+# A line of nothing but commas (and blanks) is an empty row to the line
+# parser, but a blank line to np.loadtxt. Search "\n" + text so that the
+# first line is checked too.
+_COMMAS_ONLY = re.compile(r"\n[^\S\n]*,[\s,]*(?:\n|\Z)")
+
+
+def _parses(line: str) -> bool:
+    try:
+        [float(p) for p in line.replace(",", " ").split()]
+    except ValueError:
+        return False
+    return True
+
+
+def _read_numeric_rows(path) -> np.ndarray:
+    """Parse a numeric table whose cells are separated by commas and/or whitespace.
+
+    Blank lines are skipped, and so is a first line that does not parse (a
+    header). One C-level ``np.loadtxt`` pass reads well-formed files; any
+    other file goes through :func:`_read_numeric_lines`, which gives the
+    same values or says what is wrong.
+    """
+    try:
+        with open(path, "r", encoding="utf-8-sig") as handle:
+            text = handle.read()
+    except UnicodeDecodeError:
+        return _read_numeric_lines(path)
+    first, _, rest = text.partition("\n")
+    body = text if _parses(first) else rest
+    if body.strip() and not _COMMAS_ONLY.search("\n" + body):
+        try:
+            return np.loadtxt(io.StringIO(body.replace(",", " ")), ndmin=2, comments=None)
+        except ValueError:
+            pass
+    return _read_numeric_lines(path)
+
+
+def _read_numeric_lines(path) -> np.ndarray:
+    """Line-by-line parse with one Python ``float()`` per cell: slow, but it
+    names the first row that is wrong."""
     rows = []
-    with open(path, "r") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:
         try:
             for lineno, line in enumerate(handle):
                 line = line.strip()
@@ -56,7 +97,7 @@ def _read_numeric_rows(path) -> list[list[float]]:
     width = len(rows[0])
     if any(len(r) != width for r in rows):
         raise ValidationError(f"{path}: inconsistent column count")
-    return rows
+    return np.asarray(rows, dtype=np.float64)
 
 
 def read_timeseries(path, dt: float | None = None, binary: bool = False) -> TimeSeries:
@@ -70,8 +111,7 @@ def read_timeseries(path, dt: float | None = None, binary: bool = False) -> Time
             raise ValidationError(f"{path}: {size} bytes is not a whole number of float64 samples")
         samples = np.fromfile(path, dtype="<f8")
         return TimeSeries(samples=samples, dt=dt)
-    rows = _read_numeric_rows(path)
-    data = np.asarray(rows, dtype=np.float64)
+    data = _read_numeric_rows(path)
     if data.shape[1] == 1:
         if dt is None:
             raise ValidationError("single-column input requires --dt")
@@ -95,8 +135,7 @@ def write_timeseries_csv(path, ts: TimeSeries) -> None:
 
 
 def read_tabulated_psd(path, interpolation: str = "linear") -> TabulatedPsd:
-    rows = _read_numeric_rows(path)
-    data = np.asarray(rows, dtype=np.float64)
+    data = _read_numeric_rows(path)
     if data.shape[1] != 2:
         raise ValidationError(f"{path}: tabulated PSD needs two columns frequency_hz,psd")
     return TabulatedPsd(freqs=data[:, 0], values=data[:, 1], interpolation=interpolation)

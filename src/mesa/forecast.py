@@ -3,8 +3,7 @@
 Future samples follow x_t = sum_i b_i x_{t-i} + eps_t with
 eps_t ~ Normal(0, noise_scale^2 * p_m), conditioned on the tail of the
 seed series. Each ensemble member draws from its own counter-based stream
-keyed by (rng_seed, member index), so parallel and serial generation agree
-bit for bit.
+keyed by (rng_seed, member index).
 """
 from __future__ import annotations
 
@@ -37,23 +36,19 @@ def forecast(
     if noise_scale < 0:
         raise ValidationError("noise_scale must be >= 0")
 
-    sigma = noise_scale * np.sqrt(model.p_m)
-    noise = np.empty((n_realizations, horizon))
+    # One row per member, in reverse time: the first H columns hold the scaled
+    # noise of steps H-1..0 and the last m the seed tail x_{-1}..x_{-m}, so the
+    # state of the step written into column j is the view y[:, j+1:j+1+m].
+    y = np.empty((n_realizations, horizon + m))
     for i in range(n_realizations):
-        noise[i] = make_rng(rng_seed, i).standard_normal(horizon)
-    noise *= sigma
-
-    b = model.b
-    out = np.empty((n_realizations, horizon))
-    # state columns hold x_{t-1}..x_{t-m}
-    state = np.tile(seed.samples[len(seed) - m :][::-1], (n_realizations, 1))
-    for t in range(horizon):
-        nxt = state @ b + noise[:, t] if m else noise[:, t]
-        out[:, t] = nxt
-        if m:
-            state[:, 1:] = state[:, :-1]
-            state[:, 0] = nxt
-    return ForecastEnsemble(realizations=out, seed_length=m, model=model)
+        y[i, horizon - 1 :: -1] = make_rng(rng_seed, i).standard_normal(horizon)
+    y[:, :horizon] *= noise_scale * np.sqrt(model.p_m)
+    y[:, horizon:] = seed.samples[len(seed) - m :][::-1]
+    if m:  # at order 0 there is nothing to add, and adding 0.0 would turn -0.0 into 0.0
+        b = model.b
+        for j in range(horizon - 1, -1, -1):
+            y[:, j] += y[:, j + 1 : j + 1 + m] @ b
+    return ForecastEnsemble(realizations=y[:, horizon - 1 :: -1], seed_length=m, model=model)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,6 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from mesa._rng import make_rng
 from mesa.core import ArModel, GenerationError, TimeSeries, ValidationError
@@ -105,6 +104,8 @@ def generate_ar(model: ArModel, n: int, burn_in: int | None = None, rng_seed: in
         raise ValidationError("burn_in must be >= 0")
     if model.order and np.max(np.abs(reflection_coefficients(model.a))) >= 1.0:
         raise ValidationError("model is not stable: prediction filter has roots on/inside the unit circle")
+    from scipy.signal import lfilter  # here, so that importing mesa does not load scipy
+
     rng = make_rng(rng_seed)
     noise = rng.standard_normal(burn_in + n) * np.sqrt(model.p_m)
     x = lfilter([1.0], model.a, noise)

@@ -1,9 +1,14 @@
 """End-to-end CLI: artifacts, exit codes, determinism."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mesa
 from mesa._io import fmt, read_timeseries
 from mesa.cli import main
 from mesa.core import ArModel
@@ -24,6 +29,16 @@ def write_tabulated(path, ny=50.0):
     v = 1.0 + 10.0 / (1.0 + ((f - 20.0) / 2.0) ** 2)
     path.write_text("frequency_hz,psd\n" + "\n".join(f"{fmt(a)},{fmt(b)}" for a, b in zip(f, v)) + "\n")
     return path
+
+
+def test_cli_import_does_not_load_scipy():
+    # scipy.signal takes about a second to import and only AR simulation needs it
+    src = str(Path(mesa.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, mesa.cli; mesa.cli.build_parser(); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_estimate_writes_three_artifacts(tmp_path):

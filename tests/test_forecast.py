@@ -2,9 +2,28 @@
 import numpy as np
 import pytest
 
+from mesa._rng import make_rng
 from mesa.core import ArModel, TimeSeries, ValidationError
 from mesa.forecast import forecast, forecast_summary
-from mesa.synth import generate_ar
+from mesa.synth import generate_ar, random_ar_model
+
+
+def shift_loop_forecast(model, seed, horizon, n_realizations, rng_seed, noise_scale):
+    """Oracle: a state matrix holding x_{t-1}..x_{t-m}, shifted right after every step."""
+    m = model.order
+    noise = np.empty((n_realizations, horizon))
+    for i in range(n_realizations):
+        noise[i] = make_rng(rng_seed, i).standard_normal(horizon)
+    noise *= noise_scale * np.sqrt(model.p_m)
+    out = np.empty((n_realizations, horizon))
+    state = np.tile(seed.samples[len(seed) - m :][::-1], (n_realizations, 1))
+    for t in range(horizon):
+        nxt = state @ model.b + noise[:, t] if m else noise[:, t]
+        out[:, t] = nxt
+        if m:
+            state[:, 1:] = state[:, :-1]
+            state[:, 0] = nxt
+    return out
 
 
 def test_noiseless_ar1_recursion():
@@ -40,6 +59,20 @@ def test_determinism_bit_identical():
     np.testing.assert_array_equal(a.realizations, b.realizations)
     c = forecast(model, seed, 20, 50, rng_seed=124)
     assert not np.array_equal(a.realizations, c.realizations)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 64])
+@pytest.mark.parametrize("horizon", [1, 70])
+@pytest.mark.parametrize("noise_scale", [0.0, 1.0])
+def test_forecast_bitwise_equal_to_shift_loop(order, horizon, noise_scale):
+    if order < 2:
+        model = ArModel(a=[1.0, -0.6][: order + 1], p_m=1.7, dt=0.5)
+    else:
+        model = random_ar_model(order, p_min=order, p_max=order, dt=0.5)
+    seed = TimeSeries(np.random.default_rng(order).standard_normal(order + 30), dt=0.5)
+    ens = forecast(model, seed, horizon, 9, rng_seed=17, noise_scale=noise_scale)
+    expected = shift_loop_forecast(model, seed, horizon, 9, 17, noise_scale)
+    assert ens.realizations.tobytes() == expected.tobytes()
 
 
 def test_seed_shorter_than_order_rejected():
