@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from mesa import _io, baseline, selection, spectrum, synth, validate
-from mesa.forecast import forecast as run_forecast, forecast_summary
+from mesa.forecast import forecast as run_forecast, forecast_summary, quantile_label
 from mesa.core import (
     ArModel,
     Criterion,
@@ -281,7 +281,7 @@ def cmd_compare(args) -> int:
 def _quantile_summary(values) -> dict:
     arr = np.asarray(values, dtype=np.float64)
     qs = (0.05, 0.25, 0.5, 0.75, 0.95)
-    return {f"q{round(q * 100):02d}": float(np.quantile(arr, q)) for q in qs}
+    return {quantile_label(q): float(np.quantile(arr, q)) for q in qs}
 
 
 def cmd_experiment_gaussian(args) -> int:

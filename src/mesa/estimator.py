@@ -2,7 +2,8 @@
 
 :func:`fit` runs Burg's recursion: the reflection coefficients come from
 the forward/backward prediction errors of the samples themselves, streamed
-one order at a time by :func:`burg_lattice`. :func:`fit_from_autocorr` is
+one order at a time by :func:`burg_lattice` (the lattice on short series,
+Vos's fast Burg on long ones). :func:`fit_from_autocorr` is
 the literal Levinson-Durbin solve of the Yule-Walker (Toeplitz normal)
 equations on a given autocorrelation sequence, kept as the cross-check
 oracle for the Burg route. Both produce a :class:`~mesa.core.RecursionTrace`.
@@ -33,10 +34,18 @@ def sample_autocorrelation(ts: TimeSeries, max_lag: int) -> np.ndarray:
     n = x.shape[0]
     if not 0 <= max_lag < n:
         raise ValidationError(f"max_lag must be in [0, {n - 1}], got {max_lag}")
+    return _autocovariance(x, max_lag) / n
+
+
+def _autocovariance(x: np.ndarray, max_lag: int) -> np.ndarray:
+    """Unnormalized sums R_k = sum_t x_t x_{t+k}, k = 0..max_lag, by one FFT.
+
+    The FFT length depends on N alone, so R_k does not depend on ``max_lag``.
+    """
+    n = x.shape[0]
     nfft = 1 << int(2 * n - 1).bit_length()
     spec = np.fft.rfft(x, nfft)
-    acov = np.fft.irfft(spec * np.conj(spec), nfft)[: max_lag + 1]
-    return acov / n
+    return np.fft.irfft(spec * np.conj(spec), nfft)[: max_lag + 1]
 
 
 def levinson_step(prev_a: np.ndarray, prev_p: float, c: float) -> tuple[np.ndarray, float]:
@@ -80,30 +89,52 @@ def _levinson_steps(r: np.ndarray, p, max_order: int):
         yield p, ck
 
 
+# Inputs at least this long run Vos's fast Burg, shorter ones the lattice
+# (the per-order cost crosses between N = 8192 and N = 16384). The choice
+# depends on N alone, so a stopped fit is a prefix of the full one.
+FAST_BURG_MIN_N = 16384
+# The fast recursion loses accuracy as p_k / p_0 shrinks: an order whose
+# power or error energy would fall below this ratio of its order-0 value, and
+# every later order, runs on the lattice.
+FAST_BURG_GUARD_RATIO = 1e-6
+
+
 def burg_lattice(x: np.ndarray, max_order: int):
-    """Start the Burg lattice recursion on ``x``, up to ``max_order``.
+    """Start Burg's recursion on ``x``, up to ``max_order``.
 
     Returns ``(p0, steps)``: the order-0 prediction-error power and a
     generator that yields ``(p_{k+1}, c_k)`` for k = 0..max_order-1, the
     power after each order and the reflection coefficient that reached it.
     An order is computed only when the generator is advanced, so a consumer
-    that stops reading stops the recursion. Forward/backward error sequences
-    start as the signal itself and lose one usable sample per order.
+    that stops reading stops the recursion.
+
+    Below ``FAST_BURG_MIN_N`` samples the generator runs the lattice on the
+    forward/backward prediction errors, O(N) per order; from there on it
+    runs Vos's fast Burg from one FFT autocorrelation, O(k) per order, until
+    an order would take the power below ``FAST_BURG_GUARD_RATIO * p0``
+    (or the error energy below that ratio of its order-0 value): the
+    lattice computes that order and the rest.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
     p0 = x @ x / x.shape[0]
     if p0 == 0.0:
         raise DegenerateModelError("zero-variance input")
-    return p0, _steps(x, p0, max_order)
+    if x.shape[0] >= FAST_BURG_MIN_N:
+        return p0, _fast_steps(x, p0, max_order)
+    return p0, _steps(x.copy(), x.copy(), p0, 0, max_order)
 
 
-def _steps(x: np.ndarray, p, max_order: int):
+def _steps(f: np.ndarray, b: np.ndarray, p, start: int, max_order: int):
+    """The lattice from order ``start``, whose forward/backward errors are ``f`` and ``b``.
+
+    ``f[i]`` and ``b[i]`` are the errors at sample ``start + i``; both
+    arrays are overwritten.
+    """
     # errors live in preallocated buffers: b is updated in place, f
     # alternates between two buffers, so no order allocates
-    n = x.shape[0]
-    f, f_next, b = x.copy(), np.empty(n), x.copy()
-    scratch = np.empty(n)
-    for k in range(max_order):
+    n = f.shape[0] + start
+    f_next, scratch = np.empty_like(f), np.empty_like(f)
+    for k in range(start, max_order):
         size = n - k - 1
         fa = f[1 : size + 1]
         ba = b[:size]
@@ -124,6 +155,57 @@ def _steps(x: np.ndarray, p, max_order: int):
         np.multiply(fa, ck, out=tmp)
         np.add(ba, tmp, out=ba)
         f, f_next = f_next, f
+
+
+def _fast_steps(x: np.ndarray, p, max_order: int):
+    """Vos's fast Burg: the lattice's ``(p_{k+1}, c_k)`` without its error sequences.
+
+    K. Vos, "A Fast Implementation of Burg's Method" (2013). With a = the
+    order-k filter, a' = [a, 0] and J the reversal, Burg's c_k is
+    -a'.Jg / a'.g for g = Psi a', where Psi is the sum of the forward and
+    backward data covariance matrices over the samples order k uses. Psi
+    loses two samples per order, so g and Psi's first row r follow from one
+    order to the next by O(k) updates, and the row's new last lag is twice
+    the autocovariance.
+    """
+    n = x.shape[0]
+    p0 = p
+    acov = _autocovariance(x, max_order)
+    xr = x[::-1].copy()  # xr[n-1-t] = x[t]: reversed runs of x as contiguous slices
+    a = np.ones(1)
+    g = np.array([2.0 * acov[0] - x[0] * x[0] - x[-1] * x[-1], 2.0 * acov[1]])
+    r = np.empty(max_order + 1)  # r[m-1] is lag m of Psi's first row
+    r[0] = 2.0 * acov[1]
+    scale = 2.0 * acov[0]  # the size of Psi's entries
+    for k in range(max_order):
+        den = a @ g[:-1]  # the forward plus backward error energy of order k
+        if den > 0.0:
+            ck = min(max(-(a @ g[:0:-1]) / den, -1.0), 1.0)
+            shrink = 1.0 - ck * ck
+        # den and c come from sums of size ``scale`` by cancellation: once
+        # the power or the error energy would fall below the guard ratio of
+        # its order-0 value, the lattice computes this order and the rest,
+        # from the errors of the order-k filter
+        if not (den > 0.0 and p * shrink >= FAST_BURG_GUARD_RATIO * p0
+                and den * shrink >= FAST_BURG_GUARD_RATIO * scale):
+            f = np.convolve(x, a, "valid")
+            b = np.convolve(x, a[::-1], "valid")
+            yield from _steps(f, b, p, k, max_order)
+            return
+        p = p * shrink
+        yield p, ck
+        if k + 1 == max_order:
+            return
+        # order k+1 drops x_{k+1} from the forward sums and x_{n-k-2} from
+        # the backward ones: u and v are the rows of x those samples start
+        g = g + ck * g[::-1]
+        a = _levinson_update(a, ck)
+        u = xr[n - k - 2 :]
+        v = x[n - k - 2 :]
+        g -= u * (u @ a) + v * (v @ a)
+        r[: k + 1] -= x[k + 1] * xr[n - k - 1 :] + x[n - k - 2] * x[n - k - 1 :]
+        r[k + 1] = 2.0 * acov[k + 2]
+        g = np.append(g, a @ r[k + 1 :: -1])
 
 
 def _run(p0, steps, dt, n_samples, criterion=None, early_stop=None):

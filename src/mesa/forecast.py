@@ -61,7 +61,17 @@ class ForecastSummary:
     quantiles: np.ndarray  # shape (len(levels), horizon)
 
     def column_names(self) -> list[str]:
-        return ["step", "median"] + [f"q{round(q * 100):02d}" for q in self.quantile_levels]
+        return ["step", "median"] + [quantile_label(q) for q in self.quantile_levels]
+
+
+def quantile_label(q: float) -> str:
+    """Column name of a level ``q`` in (0, 1): ``q05`` for 5 %, ``q99.9`` for 99.9 %.
+
+    The percent is read off the shortest decimal form of ``q``, so distinct
+    levels get distinct names and a whole percent keeps two digits.
+    """
+    digits = np.format_float_positional(q, trim="-").partition(".")[2].ljust(2, "0")
+    return f"q{digits[:2]}" + (f".{digits[2:]}" if digits[2:] else "")
 
 
 def forecast_summary(ens: ForecastEnsemble, quantiles=(0.05, 0.95)) -> ForecastSummary:
@@ -71,6 +81,8 @@ def forecast_summary(ens: ForecastEnsemble, quantiles=(0.05, 0.95)) -> ForecastS
     levels = tuple(float(q) for q in quantiles)
     if any(not 0.0 < q < 1.0 for q in levels):
         raise ValidationError("quantiles must lie strictly inside (0, 1)")
+    if len(set(levels)) != len(levels):
+        raise ValidationError(f"quantile levels must be distinct, got {levels}")
     r = ens.realizations
     return ForecastSummary(
         steps=np.arange(1, ens.horizon + 1),

@@ -10,7 +10,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from mesa.core import AccuracyError, ArModel, Sided, SpectralDensity, ValidationError
+from mesa.core import (
+    AccuracyError,
+    ArModel,
+    DegenerateModelError,
+    Sided,
+    SpectralDensity,
+    ValidationError,
+)
 
 _CHUNK = 4096
 
@@ -63,7 +70,10 @@ def psd(model: ArModel, freqs: np.ndarray | None = None) -> SpectralDensity:
     ``freqs=None`` uses the default one-sided grid. On the canonical
     equally-spaced grid the denominator comes from a zero-padded DFT of the
     coefficient vector; elsewhere it is summed directly (both routes agree
-    to 1e-12 relative).
+    to 1e-12 relative). A model fitted to a series that is perfectly
+    predictable to working precision (zero power, or a zero of the filter
+    on the unit circle) has no finite positive density and raises
+    ``DegenerateModelError``.
     """
     ny = model.nyquist
     if freqs is None:
@@ -84,7 +94,14 @@ def psd(model: ArModel, freqs: np.ndarray | None = None) -> SpectralDensity:
         den = np.concatenate([half[:0:-1], half])
     else:
         den = _denominator_direct(model.a, freqs, model.dt)
-    return SpectralDensity(freqs=freqs, values=model.p_m * model.dt / den, sided=Sided.TWO_SIDED)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = model.p_m * model.dt / den
+    if not (np.isfinite(values).all() and (values > 0.0).all()):
+        raise DegenerateModelError(
+            "the model's density is not finite and positive: the series is perfectly "
+            "predictable to working precision"
+        )
+    return SpectralDensity(freqs=freqs, values=values, sided=Sided.TWO_SIDED)
 
 
 def autocorr_from_psd(sd: SpectralDensity, lags) -> np.ndarray:

@@ -229,6 +229,22 @@ def test_forecast_command(tmp_path):
     assert len(rows) == 6
 
 
+def test_forecast_quantile_columns(tmp_path):
+    model = ArModel(a=[1.0, -0.5], p_m=1.0, dt=1.0)
+    mpath = tmp_path / "model.json"
+    mpath.write_text(json.dumps(model.to_dict()))
+    data = tmp_path / "seed.csv"
+    data.write_text("0.0\n1.0\n")
+    out = tmp_path / "fc.csv"
+    args = ["forecast", "--model", mpath, "--in", data, "--dt", "1.0", "--horizon", "3",
+            "--n-realizations", "20", "--seed", "9", "--out", out, "--quantiles"]
+    assert run(args + ["0.001,0.05,0.051,0.999"]) == 0
+    assert out.read_text().splitlines()[0] == "step,median,q00.1,q05,q05.1,q99.9"
+    out.unlink()
+    assert run(args + ["0.05,0.95,0.050"]) == 2
+    assert not out.exists()
+
+
 def test_forecast_requires_seed(tmp_path):
     with pytest.raises(SystemExit) as err:
         run(["forecast", "--model", tmp_path / "m.json", "--in", tmp_path / "d.csv",

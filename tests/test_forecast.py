@@ -137,6 +137,18 @@ def test_summary_validation():
         forecast_summary(pair, (0.0, 0.95))
 
 
+def test_summary_column_names_are_distinct():
+    from mesa.core import ForecastEnsemble
+
+    model = ArModel(a=[1.0], p_m=1.0, dt=1.0)
+    ens = ForecastEnsemble(realizations=np.zeros((2, 3)), seed_length=0, model=model)
+    assert forecast_summary(ens).column_names() == ["step", "median", "q05", "q95"]
+    s = forecast_summary(ens, (0.001, 0.05, 0.051, 0.07, 0.5, 0.999))
+    assert s.column_names() == ["step", "median", "q00.1", "q05", "q05.1", "q07", "q50", "q99.9"]
+    with pytest.raises(ValidationError):
+        forecast_summary(ens, (0.05, 0.95, 0.05))
+
+
 def test_band_coverage_quick():
     # 90% band from the true model covers ~90% of fresh continuations
     model = ArModel(a=[1.0, -0.7, 0.1], p_m=1.0, dt=1.0)

@@ -1,9 +1,17 @@
-"""The numpy Burg lattice stepper: plain-lattice oracle, degenerate inputs, invariants."""
+"""The Burg steppers: the plain-lattice oracle, degenerate inputs, invariants,
+and Vos's fast Burg against the lattice."""
 import numpy as np
 import pytest
 
-from mesa.core import DegenerateModelError
-from mesa.estimator import burg_lattice
+from mesa.core import ArModel, DegenerateModelError, _levinson_update
+from mesa.estimator import (
+    FAST_BURG_MIN_N,
+    FAST_BURG_GUARD_RATIO,
+    _fast_steps,
+    _steps,
+    burg_lattice,
+)
+from mesa.synth import generate_ar, generate_from_psd, random_ar_model
 
 
 def drain(x, max_order):
@@ -86,3 +94,79 @@ def test_readonly_input_left_untouched():
     p, c = drain(x, 16)
     assert p.shape == (17,) and c.shape == (16,)
     np.testing.assert_array_equal(x, before)
+
+
+# --- Vos's fast Burg against the lattice ------------------------------------------
+
+FAST_N = 20_000
+# fast Burg matches the lattice to this, in c and in relative p, at every
+# order whose lattice power is at least FAST_MIN_P_RATIO * p0
+FAST_TOL = 1e-8
+FAST_MIN_P_RATIO = 1e-12
+
+
+def three_peak_curve(f):
+    f = np.asarray(f, dtype=float)
+    return (1.0 + 30.0 / (1.0 + (f / 40.0) ** 2) + 40.0 / (1.0 + ((f - 60.0) / 6.0) ** 2)
+            + 25.0 / (1.0 + ((f - 350.0) / 12.0) ** 2) + 12.0 / (1.0 + ((f - 1100.0) / 25.0) ** 2))
+
+
+def fast_input(name):
+    rng = np.random.default_rng(31)
+    sine = np.sin(2.0 * np.pi * 0.0123 * np.arange(FAST_N))
+    if name == "white":
+        return rng.standard_normal(FAST_N)
+    if name == "three-peak":
+        return generate_from_psd(three_peak_curve, FAST_N, 1.0 / 4096, rng_seed=12).samples
+    if name.startswith("random-ar-"):
+        seed = int(name.rsplit("-", 1)[1])
+        return generate_ar(random_ar_model(seed, 2, 200), FAST_N, rng_seed=seed).samples
+    if name == "ar2-r0.9995":
+        r, theta = 0.9995, 0.3
+        model = ArModel(a=[1.0, -2.0 * r * np.cos(theta), r * r], p_m=1.0, dt=1.0)
+        return generate_ar(model, FAST_N, rng_seed=32).samples
+    if name == "sine-noise-1e-3":
+        return sine + 1e-3 * rng.standard_normal(FAST_N)
+    # the offset and the sine leave p_1 / p_0 near 1e-12: the drift guard must fire
+    return 1e6 + sine + 1e-6 * rng.standard_normal(FAST_N)
+
+
+def drain_steps(steps):
+    pairs = list(steps)
+    return np.array([p for p, _ in pairs]), np.array([c for _, c in pairs])
+
+
+@pytest.mark.parametrize("name", ["white", "three-peak", "random-ar-3", "random-ar-8",
+                                  "ar2-r0.9995", "sine-noise-1e-3", "sine-noise-1e-6-offset"])
+def test_fast_burg_matches_lattice(name):
+    x = fast_input(name)
+    m = 600
+    p_ref, c_ref = plain_lattice(x, m)
+    p0 = p_ref[0]
+    p, c = drain_steps(_fast_steps(x, p0, m))
+    held = p_ref[1:] >= FAST_MIN_P_RATIO * p0
+    assert np.max(np.abs(c - c_ref)[held], initial=0.0) <= FAST_TOL
+    assert np.max((np.abs(p - p_ref[1:]) / p_ref[1:])[held], initial=0.0) <= FAST_TOL
+    assert np.all(np.abs(c) <= 1.0) and np.all(np.diff(p) <= 0.0)
+
+    # the lattice computes the first order whose power is below the guard, and
+    # the rest, from the errors of the filter the fast recursion reached
+    low = np.flatnonzero(p < FAST_BURG_GUARD_RATIO * p0)
+    assert (low.size > 0) == (name == "sine-noise-1e-6-offset")
+    if low.size:
+        k = low[0]
+        a = np.ones(1)
+        for ck in c[:k]:
+            a = _levinson_update(a, ck)
+        f, b = np.convolve(x, a, "valid"), np.convolve(x, a[::-1], "valid")
+        p_tail, c_tail = drain_steps(_steps(f, b, p[k - 1] if k else p0, k, m))
+        assert p[k:].tobytes() == p_tail.tobytes()
+        assert c[k:].tobytes() == c_tail.tobytes()
+
+
+def test_dispatch_depends_on_length_alone():
+    x = np.random.default_rng(4).standard_normal(FAST_BURG_MIN_N)
+    for n, expected in ((FAST_BURG_MIN_N - 1, _steps), (FAST_BURG_MIN_N, _fast_steps)):
+        for m in (1, 50):
+            _, steps = burg_lattice(x[:n], m)
+            assert steps.__name__ == expected.__name__

@@ -14,7 +14,7 @@ from mesa.core import (
     UndefinedLossError,
     ValidationError,
 )
-from mesa.estimator import fit
+from mesa.estimator import FAST_BURG_MIN_N, fit
 from mesa.selection import (
     EarlyStopConfig,
     loss_fpe,
@@ -232,7 +232,13 @@ def test_cat_inverse_sum_defaults_to_full_scan():
 
 # --- scan inside the recursion ----------------------------------------------------
 
-PARITY_N = 12_000  # max_order 2379, so the default patience (238) is not the floor of 100
+# max_order 2379 and 3770, so the default patience (238, 377) is not the floor
+# of 100; the first runs the lattice, the second Vos's fast Burg
+PARITY_NS = (12_000, 20_000)
+
+
+def test_parity_sizes_cover_both_recursions():
+    assert PARITY_NS[0] < FAST_BURG_MIN_N <= PARITY_NS[1]
 
 
 def three_peak_curve(f):
@@ -242,41 +248,26 @@ def three_peak_curve(f):
 
 
 @functools.lru_cache(maxsize=None)
-def parity_input(name):
+def parity_input(name, n=PARITY_NS[0]):
     """A series and its full Burg trace to the default order bound."""
     if name == "white":
-        ts = TimeSeries(np.random.default_rng(11).standard_normal(PARITY_N), dt=1.0)
+        ts = TimeSeries(np.random.default_rng(11).standard_normal(n), dt=1.0)
     elif name == "three-peak":
-        ts = generate_from_psd(three_peak_curve, PARITY_N, 1.0 / 4096, rng_seed=12)
+        ts = generate_from_psd(three_peak_curve, n, 1.0 / 4096, rng_seed=12)
     else:
         # AR(2) with a reflection coefficient of 0.977: a pole close to the unit circle
-        ts = generate_ar(random_ar_model(142, 2, 200), PARITY_N, rng_seed=13)
-    return ts, fit(ts, max_order(PARITY_N))
+        ts = generate_ar(random_ar_model(142, 2, 200), n, rng_seed=13)
+    return ts, fit(ts, max_order(n))
 
 
 @pytest.mark.parametrize("scan", ["default", "full"])
 @pytest.mark.parametrize("crit", [c.value for c in Criterion])
-@pytest.mark.parametrize("name", ["white", "three-peak", "near-unit-circle"])
-def test_stopped_fit_matches_full_fit(name, crit, scan):
-    ts, full = parity_input(name)
-    m_max = full.max_order
-    cfg = EarlyStopConfig.default(m_max, crit) if scan == "default" else EarlyStopConfig.full_scan()
-    expected = select_order(full, crit, cfg)
-    stopped = fit(ts, m_max, criterion=crit, early_stop=None if scan == "default" else cfg)
-    got = select_order(stopped, crit, cfg)
-    assert got.to_dict() == expected.to_dict()
-    # the scan that stopped the recursion is the one select_order returns
-    assert got is stopped.selection and select_order(stopped, crit) is got
-    assert json.dumps(stopped.model(got.chosen_order).to_dict()) == \
-        json.dumps(full.model(expected.chosen_order).to_dict())
-    # the recursion ran exactly as far as the scan read, and bit for bit as the full one
-    assert stopped.max_order == len(got.losses) - 1
-    assert stopped.p.tobytes() == full.p[: stopped.max_order + 1].tobytes()
-    assert stopped.c.tobytes() == full.c[: stopped.max_order].tobytes()
-    if got.early_stopped:
-        assert stopped.max_order < m_max
-
-
+@pytest.mark.parametrize("name,n", [
+    pytest.param(name, n, id=name if n == PARITY_NS[0] else f"{name}-n{n}")
+    for n in PARITY_NS for name in ("white", "three-peak", "near-unit-circle")
+])
+def test_stopped_fit_matches_full_fit(name, n, crit, scan):
+    ts, full = parity_input(name, n)
 def test_stopped_trace_rejects_another_scan():
     ts, full = parity_input("white")
     stopped = fit(ts, full.max_order, criterion="fpe")

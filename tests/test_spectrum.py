@@ -2,7 +2,15 @@
 import numpy as np
 import pytest
 
-from mesa.core import AccuracyError, ArModel, Sided, SpectralDensity, TimeSeries, ValidationError
+from mesa.core import (
+    AccuracyError,
+    ArModel,
+    DegenerateModelError,
+    Sided,
+    SpectralDensity,
+    TimeSeries,
+    ValidationError,
+)
 from mesa.estimator import fit, fit_from_autocorr, sample_autocorrelation
 from mesa.spectrum import (
     autocorr_from_psd,
@@ -58,6 +66,15 @@ def test_psd_hand_values_ar1():
     assert sd.values[0] == pytest.approx(3.0, abs=1e-9)
     assert sd.values[1] == pytest.approx(1.0 / 3.0, abs=1e-9)
     assert sd.sided is Sided.TWO_SIDED
+
+
+def test_psd_of_perfectly_predictable_model_raises():
+    # a constant series: order 1 predicts it exactly, and FPE chooses it
+    trace = fit(TimeSeries(np.ones(4), dt=1.0), 1, criterion="fpe")
+    model = trace.model(trace.selection.chosen_order)
+    assert model.p_m == 0.0
+    with pytest.raises(DegenerateModelError):
+        psd(model)
 
 
 def test_psd_even_in_frequency():
