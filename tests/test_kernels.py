@@ -5,13 +5,15 @@ import pytest
 
 from mesa.core import ArModel, DegenerateModelError, _levinson_update
 from mesa.estimator import (
-    FAST_BURG_MIN_N,
     FAST_BURG_GUARD_RATIO,
+    FAST_BURG_MIN_N,
     _fast_steps,
     _steps,
     burg_lattice,
 )
 from mesa.synth import generate_ar, generate_from_psd, random_ar_model
+
+from test_selection import three_peak_curve
 
 
 def drain(x, max_order):
@@ -105,12 +107,6 @@ FAST_TOL = 1e-8
 FAST_MIN_P_RATIO = 1e-12
 
 
-def three_peak_curve(f):
-    f = np.asarray(f, dtype=float)
-    return (1.0 + 30.0 / (1.0 + (f / 40.0) ** 2) + 40.0 / (1.0 + ((f - 60.0) / 6.0) ** 2)
-            + 25.0 / (1.0 + ((f - 350.0) / 12.0) ** 2) + 12.0 / (1.0 + ((f - 1100.0) / 25.0) ** 2))
-
-
 def fast_input(name):
     rng = np.random.default_rng(31)
     sine = np.sin(2.0 * np.pi * 0.0123 * np.arange(FAST_N))
@@ -162,6 +158,17 @@ def test_fast_burg_matches_lattice(name):
         p_tail, c_tail = drain_steps(_steps(f, b, p[k - 1] if k else p0, k, m))
         assert p[k:].tobytes() == p_tail.tobytes()
         assert c[k:].tobytes() == c_tail.tobytes()
+
+
+def test_fast_burg_hands_over_where_few_samples_remain():
+    # near order N the error energy sums over a few samples, far below its
+    # order-0 value while p_k is not: the energy guard hands those orders over
+    n = 8192
+    x = np.random.default_rng(1).standard_normal(n)
+    p_ref, c_ref = plain_lattice(x, n - 1)
+    p, c = drain_steps(_fast_steps(x, p_ref[0], n - 1))
+    assert np.max(np.abs(c - c_ref)) <= 1e-4
+    assert np.max(np.abs(p - p_ref[1:]) / p_ref[1:]) <= 1e-4
 
 
 def test_dispatch_depends_on_length_alone():
