@@ -79,13 +79,12 @@ def test_fit_invariants(x, m, criterion):
     assert sel.to_dict() == select_order(full, criterion, stopped.early_stop).to_dict()
 
     model = stopped.model(sel.chosen_order)
-    if model.p_m / full.p[0] < PREDICTABLE_P_RATIO:
-        # predictable to working precision: the density may be zero or infinite
-        try:
-            psd(model)
-        except DegenerateModelError:
-            return
-    spectrum = psd(model).values
+    try:
+        spectrum = psd(model).values
+    except DegenerateModelError:
+        # only a series predictable to working precision has no finite positive density
+        assert model.p_m / full.p[0] < PREDICTABLE_P_RATIO
+        return
     assert np.all(np.isfinite(spectrum)) and np.all(spectrum > 0.0)
 
 

@@ -268,6 +268,24 @@ def parity_input(name, n=PARITY_NS[0]):
 ])
 def test_stopped_fit_matches_full_fit(name, n, crit, scan):
     ts, full = parity_input(name, n)
+    m_max = full.max_order
+    cfg = EarlyStopConfig.default(m_max, crit) if scan == "default" else EarlyStopConfig.full_scan()
+    expected = select_order(full, crit, cfg)
+    stopped = fit(ts, m_max, criterion=crit, early_stop=None if scan == "default" else cfg)
+    got = select_order(stopped, crit, cfg)
+    assert got.to_dict() == expected.to_dict()
+    # the scan that stopped the recursion is the one select_order returns
+    assert got is stopped.selection and select_order(stopped, crit) is got
+    assert json.dumps(stopped.model(got.chosen_order).to_dict()) == \
+        json.dumps(full.model(expected.chosen_order).to_dict())
+    # the recursion ran exactly as far as the scan read, and bit for bit as the full one
+    assert stopped.max_order == len(got.losses) - 1
+    assert stopped.p.tobytes() == full.p[: stopped.max_order + 1].tobytes()
+    assert stopped.c.tobytes() == full.c[: stopped.max_order].tobytes()
+    if got.early_stopped:
+        assert stopped.max_order < m_max
+
+
 def test_stopped_trace_rejects_another_scan():
     ts, full = parity_input("white")
     stopped = fit(ts, full.max_order, criterion="fpe")
