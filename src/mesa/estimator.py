@@ -157,7 +157,7 @@ def _steps(f: np.ndarray, b: np.ndarray, p, start: int, max_order: int):
         f, f_next = f_next, f
 
 
-def _fast_steps(x: np.ndarray, p, max_order: int):
+def _fast_steps(x: np.ndarray, p0, max_order: int):
     """Vos's fast Burg: the lattice's ``(p_{k+1}, c_k)`` without its error sequences.
 
     K. Vos, "A Fast Implementation of Burg's Method" (2013). With a = the
@@ -169,7 +169,7 @@ def _fast_steps(x: np.ndarray, p, max_order: int):
     the autocovariance.
     """
     n = x.shape[0]
-    p0 = p
+    p = p0
     acov = _autocovariance(x, max_order)
     xr = x[::-1].copy()  # xr[n-1-t] = x[t]: reversed runs of x as contiguous slices
     a = np.ones(1)
