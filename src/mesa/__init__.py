@@ -32,7 +32,6 @@ from mesa.estimator import (
 )
 from mesa.forecast import ForecastSummary, forecast, forecast_summary
 from mesa.selection import (
-    EarlyStopConfig,
     loss_fpe,
     max_order,
     select_order,

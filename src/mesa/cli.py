@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -25,7 +26,6 @@ from mesa.core import (
     ValidationError,
 )
 from mesa.estimator import fit
-from mesa.selection import EarlyStopConfig
 
 
 def _positive_int(text: str) -> int:
@@ -56,13 +56,9 @@ def _add_early_stop_args(p: argparse.ArgumentParser) -> None:
                       help="orders without a new minimum before the scan stops")
 
 
-def _early_stop(args) -> EarlyStopConfig | None:
-    """The early stop the flags ask for, or None for ``fit``'s default."""
-    if args.no_early_stop:
-        return EarlyStopConfig.full_scan()
-    if args.patience is not None:
-        return EarlyStopConfig(enabled=True, patience=args.patience)
-    return None
+def _patience(args) -> float | None:
+    """The patience the flags ask for, or None for ``fit``'s default."""
+    return math.inf if args.no_early_stop else args.patience
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -184,7 +180,7 @@ def cmd_estimate(args) -> int:
     if args.demean:
         ts = TimeSeries(samples=ts.samples - ts.samples.mean(), dt=ts.dt)
     max_order = args.max_order if args.max_order is not None else selection.max_order(len(ts))
-    trace = fit(ts, max_order, criterion=args.criterion, early_stop=_early_stop(args))
+    trace = fit(ts, max_order, criterion=args.criterion, patience=_patience(args))
     sel = selection.select_order(trace, args.criterion)
     model = trace.model(sel.chosen_order)
     grid = None
@@ -250,7 +246,7 @@ def cmd_compare(args) -> int:
     ts = synth.generate_from_psd(target, n, dt, args.seed)
 
     max_order = selection.max_order(n)
-    trace = fit(ts, max_order, criterion=args.criterion, early_stop=_early_stop(args))
+    trace = fit(ts, max_order, criterion=args.criterion, patience=_patience(args))
     sel = selection.select_order(trace, args.criterion)
     model = trace.model(sel.chosen_order)
 

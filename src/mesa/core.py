@@ -16,12 +16,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from mesa.selection import EarlyStopConfig
 
 
 class ValidationError(ValueError):
@@ -174,7 +170,7 @@ class RecursionTrace:
     rebuilt on demand by replaying the order-update (:meth:`coefficients`).
 
     When the fit ran an order scan to stop the recursion, ``selection`` is
-    that scan's result and ``early_stop`` the config it ran with.
+    that scan's result.
     """
 
     p: np.ndarray
@@ -182,7 +178,6 @@ class RecursionTrace:
     dt: float
     n_samples: int | None = None
     selection: OrderSelection | None = None
-    early_stop: EarlyStopConfig | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "p", _readonly(self.p))

@@ -20,7 +20,7 @@ from mesa.core import (
     ValidationError,
     _levinson_update,
 )
-from mesa.selection import EarlyStopConfig, scan_orders
+from mesa.selection import default_patience, scan_orders
 
 
 def sample_autocorrelation(ts: TimeSeries, max_lag: int) -> np.ndarray:
@@ -208,7 +208,7 @@ def _fast_steps(x: np.ndarray, p0, max_order: int):
         g = np.append(g, a @ r[k + 1 :: -1])
 
 
-def _run(p0, steps, dt, n_samples, criterion=None, early_stop=None):
+def _run(p0, steps, dt, n_samples, criterion=None, patience=None):
     """Draw orders from ``steps`` into a trace, as far as the scan of ``criterion`` reads."""
     p, c = [p0], []
 
@@ -223,9 +223,9 @@ def _run(p0, steps, dt, n_samples, criterion=None, early_stop=None):
         for _ in recorded():
             pass
     else:
-        selection = scan_orders(p0, recorded(), criterion, n_samples, early_stop)
+        selection = scan_orders(p0, recorded(), criterion, n_samples, patience)
     return RecursionTrace(p=np.array(p, dtype=np.float64), c=np.array(c, dtype=np.float64),
-                          dt=dt, n_samples=n_samples, selection=selection, early_stop=early_stop)
+                          dt=dt, n_samples=n_samples, selection=selection)
 
 
 def fit(
@@ -233,7 +233,7 @@ def fit(
     max_order: int,
     *,
     criterion: Criterion | str | None = None,
-    early_stop: EarlyStopConfig | None = None,
+    patience: float | None = None,
 ) -> RecursionTrace:
     """Run Burg's recursion on ``ts`` up to ``max_order``.
 
@@ -247,8 +247,8 @@ def fit(
     computed, and the recursion stops where the scan stops: the trace ends
     at the last order the scan read and holds the scan's result, which
     ``select_order(trace, criterion)`` returns. It equals what
-    ``select_order`` gives on the full trace with the same ``early_stop``;
-    ``early_stop=None`` is ``EarlyStopConfig.default(max_order, criterion)``.
+    ``select_order`` gives on the full trace with the same ``patience``;
+    ``patience=None`` is ``default_patience(max_order, criterion)``.
     A ``DegenerateModelError`` is raised only for orders the recursion
     computes, and a loss undefined at every order raises
     ``UndefinedLossError`` here rather than in ``select_order``.
@@ -258,10 +258,10 @@ def fit(
         raise ValidationError(f"max_order must be in [1, {n - 1}], got {max_order}")
     if criterion is not None:
         criterion = Criterion(criterion)
-        if early_stop is None:
-            early_stop = EarlyStopConfig.default(max_order, criterion)
+        if patience is None:
+            patience = default_patience(max_order, criterion)
     p0, steps = burg_lattice(ts.samples, max_order)
-    return _run(p0, steps, ts.dt, n, criterion, early_stop)
+    return _run(p0, steps, ts.dt, n, criterion, patience)
 
 
 def fit_from_autocorr(

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,34 +29,15 @@ def loss_fpe(p_m: float, n: int, m: int) -> float:
     return p_m * (n + m + 1) / (n - m - 1)
 
 
-@dataclass(frozen=True)
-class EarlyStopConfig:
-    """Stop the selection scan once the incumbent minimum stops moving.
+def default_patience(scan_max_order: int, criterion: Criterion | str) -> float:
+    """Patience max(100, ceil(M/10)); ``math.inf``, a full scan, for ``cat-invsum``.
 
-    ``patience`` counts orders scanned without a new minimum.
+    The ``cat-invsum`` loss has deep local minima far below the order of
+    its global minimum, where a patience stop would end the scan.
     """
-
-    enabled: bool = True
-    patience: int = 100
-
-    def __post_init__(self):
-        if self.patience < 1:
-            raise ValidationError("patience must be >= 1")
-
-    @classmethod
-    def default(cls, scan_max_order: int, criterion: Criterion | str) -> "EarlyStopConfig":
-        """Patience max(100, M/10); a full scan for ``cat-invsum``.
-
-        The ``cat-invsum`` loss has deep local minima far below the order of
-        its global minimum, where a patience stop would end the scan.
-        """
-        if Criterion(criterion) is Criterion.CAT_INVSUM:
-            return cls.full_scan()
-        return cls(enabled=True, patience=max(100, -(-scan_max_order // 10)))
-
-    @classmethod
-    def full_scan(cls) -> "EarlyStopConfig":
-        return cls(enabled=False)
+    if Criterion(criterion) is Criterion.CAT_INVSUM:
+        return math.inf
+    return max(100, -(-scan_max_order // 10))
 
 
 def _loss_sequence(orders, criterion: Criterion, n: int):
@@ -119,15 +99,20 @@ def scan_orders(
     steps,
     criterion: Criterion,
     n: int,
-    early_stop: EarlyStopConfig,
+    patience: float,
 ) -> OrderSelection:
     """Scan a stream of orders with one loss and pick its first minimum.
 
     ``p0`` is the order-0 power and ``steps`` yields ``(p_{k+1}, c_k)`` for
     k = 0, 1, ..., as a recursion produces them. The scan draws from
     ``steps`` one order at a time and no further than the order where it
-    stops, so a lazy recursion computes only the orders scanned.
+    stops, so a lazy recursion computes only the orders scanned. It stops
+    after ``patience`` orders without a new minimum; ``math.inf`` scans
+    every order.
     """
+    if not patience >= 1:
+        raise ValidationError(f"patience must be >= 1, got {patience}")
+
     def orders():
         yield 0, p0, None
         for m, (pm, cm) in enumerate(steps, 1):
@@ -144,7 +129,7 @@ def scan_orders(
         if value < best_loss:
             best_loss = value
             best_order = m
-        if early_stop.enabled and m - best_order >= early_stop.patience:
+        if m - best_order >= patience:
             early_stopped = True
             break
     if best_order < 0:
@@ -160,16 +145,16 @@ def scan_orders(
 def select_order(
     trace: RecursionTrace,
     criterion: Criterion | str,
-    early_stop: EarlyStopConfig | None = None,
+    patience: float | None = None,
 ) -> OrderSelection:
     """Scan the trace's orders and pick the first minimum of the loss.
 
-    A trace that ``fit`` stopped with this criterion already holds its scan,
-    which is returned when ``early_stop`` is None or the config that scan ran
-    with. Otherwise ``early_stop=None`` uses ``EarlyStopConfig.default
-    (trace.max_order, criterion)``; pass ``EarlyStopConfig.full_scan()`` for a
-    reproducible full sweep. A trace whose scan stopped the recursion early
-    cannot be scanned otherwise: it lacks the orders a different scan may read.
+    A trace that ``fit`` ran with this criterion holds its scan, which
+    ``patience=None`` returns. On any other trace ``patience=None`` is
+    ``default_patience(trace.max_order, criterion)``; pass ``math.inf`` for
+    a reproducible full sweep. A trace whose scan stopped the recursion
+    early cannot be scanned again, with another criterion or an explicit
+    patience: it lacks the orders another scan may read.
     """
     criterion = Criterion(criterion)
     n = trace.n_samples
@@ -179,13 +164,13 @@ def select_order(
         raise ValidationError("trace must hold at least order 1")
     held = trace.selection
     if held is not None:
-        if held.criterion is criterion and early_stop in (None, trace.early_stop):
+        if held.criterion is criterion and patience is None:
             return held
         if held.early_stopped:
             raise ValidationError(
                 f"the recursion was stopped by its {held.criterion.value} scan; "
                 "fit without a criterion to scan it otherwise"
             )
-    if early_stop is None:
-        early_stop = EarlyStopConfig.default(trace.max_order, criterion)
-    return scan_orders(trace.p[0], zip(trace.p[1:], trace.c), criterion, n, early_stop)
+    if patience is None:
+        patience = default_patience(trace.max_order, criterion)
+    return scan_orders(trace.p[0], zip(trace.p[1:], trace.c), criterion, n, patience)

@@ -43,6 +43,10 @@ def default_grid_size(order: int) -> int:
 def _denominator_fft(a: np.ndarray, n_pos: int) -> np.ndarray:
     """|A|^2 on the canonical positive grid via a zero-padded DFT."""
     nfft = 2 * (n_pos - 1)
+    if a.size > nfft:
+        # rfft would drop the terms past nfft: at these frequencies the DFT
+        # of ``a`` is that of ``a`` folded modulo nfft
+        a = np.pad(a, (0, -a.size % nfft)).reshape(-1, nfft).sum(axis=0)
     spec = np.fft.rfft(a, nfft)[:n_pos]
     return np.abs(spec) ** 2
 
@@ -69,11 +73,12 @@ def psd(model: ArModel, freqs: np.ndarray | None = None) -> SpectralDensity:
 
     ``freqs=None`` uses the default one-sided grid. On the canonical
     equally-spaced grid the denominator comes from a zero-padded DFT of the
-    coefficient vector; elsewhere it is summed directly (both routes agree
-    to 1e-12 relative). A model fitted to a series that is perfectly
-    predictable to working precision (zero power, or a zero of the filter
-    on the unit circle) has no finite positive density and raises
-    ``DegenerateModelError``.
+    coefficient vector, of any length against the order; elsewhere it is
+    summed directly. Both routes agree to 1e-12 of (sum_s |a_s|)^2, the
+    scale on which |A|^2 is resolved. A model fitted to a series that is
+    perfectly predictable to working precision (zero power, or a zero of
+    the filter on the unit circle) has no finite positive density and
+    raises ``DegenerateModelError``.
     """
     ny = model.nyquist
     if freqs is None:

@@ -7,6 +7,7 @@ Both are deterministic given their seed.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,7 +16,7 @@ from mesa import selection, spectrum
 from mesa._rng import derive_seed
 from mesa.core import Criterion, Sided, SpectralDensity, ValidationError
 from mesa.estimator import fit
-from mesa.selection import EarlyStopConfig, select_order
+from mesa.selection import select_order
 from mesa.synth import generate_ar, generate_from_psd, random_ar_model
 
 
@@ -88,14 +89,12 @@ def run_gaussian_experiment(
     sigma: float = 0.5,
     dt: float = 0.125,
     n_freqs: int = 1025,
-    early_stop: EarlyStopConfig | None = None,
 ) -> GaussianExperimentResult:
     """Estimate the spectrum of colored noise with a Gaussian-bump target.
 
     Each realization draws fresh noise from the target, runs the recursion
     as far as the order scan of ``criterion`` reads it, selects the order and
     scores the model PSD against the analytic curve on a fixed grid.
-    ``early_stop=None`` is ``EarlyStopConfig.default`` at the full order bound.
     """
     if n_realizations < 1:
         raise ValidationError("need at least one realization")
@@ -107,8 +106,8 @@ def run_gaussian_experiment(
 
     def one(i: int):
         ts = generate_from_psd(curve, n_samples, dt, derive_seed(rng_seed, i))
-        trace = fit(ts, m_max, criterion=criterion, early_stop=early_stop)
-        sel = select_order(trace, criterion, early_stop)
+        trace = fit(ts, m_max, criterion=criterion)
+        sel = select_order(trace, criterion)
         est = spectrum.psd(trace.model(sel.chosen_order), grid)
         return sel.chosen_order, est
 
@@ -158,13 +157,12 @@ def run_order_recovery(
     """
     criteria = (Criterion.FPE, Criterion.CAT_INVSUM, Criterion.OBD)
     m_max = selection.max_order(n_samples)
-    full = EarlyStopConfig.full_scan()
 
     def one(j: int) -> OrderRecoveryRecord:
         model = random_ar_model(derive_seed(rng_seed, j, 0), p_min, p_max)
         ts = generate_ar(model, n_samples, rng_seed=derive_seed(rng_seed, j, 1))
         trace = fit(ts, m_max)
-        p_hat = {c.value: select_order(trace, c, full).chosen_order for c in criteria}
+        p_hat = {c.value: select_order(trace, c, math.inf).chosen_order for c in criteria}
         return OrderRecoveryRecord(index=j, p_true=model.order, p_hat=p_hat)
 
     return tuple(one(j) for j in range(n_models))

@@ -300,3 +300,58 @@ def test_experiment_records_bit_identical_across_runs(tmp_path):
     assert run(args + ["--out-prefix", tmp_path / "r1"]) == 0
     assert run(args + ["--out-prefix", tmp_path / "r2"]) == 0
     assert (tmp_path / "r1_records.jsonl").read_bytes() == (tmp_path / "r2_records.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["forecast", "--model", "{model}", "--in", "{data}", "--dt", "1.0", "--horizon", "3",
+     "--out", "{tmp}/fc.csv"],
+    ["generate", "--psd-gaussian", "2.5", "0.5", "--n", "100", "--out", "{tmp}/g.csv"],
+    ["compare", "--psd", "{tab}", "--duration", "2", "--fs", "128", "--segment", "64",
+     "--out-prefix", "{tmp}/cmp"],
+    ["experiment", "gaussian", "--n-realizations", "2", "--n-samples", "200",
+     "--out-prefix", "{tmp}/exp"],
+    ["experiment", "order-recovery", "--n-models", "1", "--p-max", "5", "--n-samples", "200",
+     "--out-prefix", "{tmp}/rec"],
+], ids=["forecast", "generate", "compare", "experiment-gaussian", "experiment-order-recovery"])
+def test_negative_seed_is_a_usage_error(tmp_path, capsys, argv):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(ArModel(a=[1.0, -0.5], p_m=1.0, dt=1.0).to_dict()))
+    data = tmp_path / "seed.csv"
+    data.write_text("0.0\n1.0\n")
+    paths = {"model": model, "data": data, "tab": write_tabulated(tmp_path / "target.csv"),
+             "tmp": tmp_path}
+    assert run([a.format(**paths) for a in argv] + ["--seed", "-3"]) == 2
+    assert "seed must be a non-negative integer, got -3" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json", "seed.csv", "target.csv"]
+
+
+def test_estimate_psd_on_grid_coarser_than_order(tmp_path):
+    # the 9-point grid takes a 16-point FFT of an order-58 filter
+    data = tmp_path / "g.csv"
+    assert run(["generate", "--psd-gaussian", "2.5", "0.5", "--n", "20000", "--seed", "1",
+                "--out", data]) == 0
+    for prefix, extra in (("coarse", ["--n-freqs", "9"]), ("fine", [])):
+        assert run(["estimate", "--in", data, "--dt", "0.125", "--out-prefix", tmp_path / prefix]
+                   + extra) == 0
+    assert json.loads((tmp_path / "coarse_selection.json").read_text())["chosen_order"] == 58
+    coarse = np.loadtxt(tmp_path / "coarse_psd.csv", delimiter=",", skiprows=1)
+    fine = np.loadtxt(tmp_path / "fine_psd.csv", delimiter=",", skiprows=1)
+    assert coarse[:, 0].tolist() == [0.5 * k for k in range(9)]
+    on_coarse = np.isin(fine[:, 0], coarse[:, 0])
+    np.testing.assert_allclose(coarse[:, 1], fine[on_coarse, 1], rtol=1e-9)
+
+
+@pytest.mark.parametrize("n,message", [
+    (4096, "prediction errors vanished at order 40"),
+    (16424, "the model's density is not finite and positive"),
+], ids=["lattice", "fast-burg"])
+def test_estimate_exactly_periodic_series_exit_code(tmp_path, capsys, n, message):
+    # an impulse every 40 samples is predicted exactly at order 40: the lattice
+    # finds its errors vanish there, fast Burg fits on and the PSD is not finite
+    x = np.zeros(n)
+    x[::40] = 714660.0
+    path = tmp_path / "impulses.csv"
+    path.write_text("\n".join(fmt(v) for v in x) + "\n")
+    assert run(["estimate", "--in", path, "--dt", "1.0", "--out-prefix", tmp_path / "p"]) == 3
+    assert f"mesa: numerical error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "p_model.json").exists()

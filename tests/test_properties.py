@@ -1,10 +1,15 @@
-"""Invariants of the Burg fit on arbitrary finite inputs, on both sides of the
-size at which the fit switches from the lattice to Vos's fast Burg."""
+"""Invariants on arbitrary inputs: the Burg fit on both sides of the size at
+which it switches from the lattice to Vos's fast Burg, the FFT route of the
+PSD against its direct sum, and the CSV round trip of a series."""
+import tempfile
+from pathlib import Path
+
 import numpy as np
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from mesa.core import Criterion, DegenerateModelError, TimeSeries, UndefinedLossError
+from mesa._io import read_timeseries, write_timeseries_csv
+from mesa.core import ArModel, Criterion, DegenerateModelError, TimeSeries, UndefinedLossError
 from mesa.estimator import (
     FAST_BURG_GUARD_RATIO,
     FAST_BURG_MIN_N,
@@ -14,8 +19,8 @@ from mesa.estimator import (
     levinson_step,
     reflection_coefficients,
 )
-from mesa.selection import max_order, select_order
-from mesa.spectrum import psd
+from mesa.selection import default_patience, max_order, select_order
+from mesa.spectrum import _denominator_direct, frequency_grid, psd
 
 # the tolerance of fast Burg against the lattice, in c and in relative p, at
 # orders whose lattice power is at least MIN_P_RATIO * p0
@@ -76,7 +81,7 @@ def test_fit_invariants(x, m, criterion):
     assert stopped.p.tobytes() == full.p[: k + 1].tobytes()
     assert stopped.c.tobytes() == full.c[:k].tobytes()
     sel = select_order(stopped, criterion)
-    assert sel.to_dict() == select_order(full, criterion, stopped.early_stop).to_dict()
+    assert sel.to_dict() == select_order(full, criterion, default_patience(m, criterion)).to_dict()
 
     model = stopped.model(sel.chosen_order)
     try:
@@ -116,3 +121,40 @@ def test_step_down_inverts_step_up(c):
     for ck in c:
         a, p = levinson_step(a, p, ck)
     np.testing.assert_allclose(reflection_coefficients(a), c, rtol=0.0, atol=1e-9)
+
+
+@given(hnp.arrays(np.float64, st.integers(1, 120), elements=st.floats(-0.99, 0.99)),
+       st.integers(2, 400), st.booleans(), st.sampled_from([1.0, 0.125, 1.0 / 4096]))
+def test_psd_fft_route_matches_direct_sum(c, n_pos, two_sided, dt):
+    a = np.ones(1)
+    for ck in c:
+        a, _ = levinson_step(a, 1.0, ck)
+    # the canonical one-sided grid, or the symmetric two-sided grid around it,
+    # of any size: both take the FFT route, however coarse against the order
+    freqs = frequency_grid(n_pos, dt)
+    if two_sided:
+        freqs = np.concatenate([-freqs[:0:-1], freqs])
+    direct = _denominator_direct(a, freqs, dt)
+    # |A|^2 is ill-conditioned once sum |a_s| is large: bound the error on that scale
+    tol = 1e-12 * np.sum(np.abs(a)) ** 2
+    try:
+        den = dt / psd(ArModel(a=a, p_m=1.0, dt=dt), freqs).values
+    except DegenerateModelError:
+        # the FFT rounded |A|^2 to zero somewhere: the direct sum is as small there
+        assert direct.min() <= tol
+        return
+    assert np.all(np.abs(den - direct) <= tol)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(hnp.arrays(np.float64, st.integers(2, 200), elements=finite))
+@example(np.array([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308,
+                   -1.7976931348623157e308]))
+def test_csv_round_trip_is_bitwise(x):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "x.csv"
+        write_timeseries_csv(path, TimeSeries(x, dt=1.0))
+        back = read_timeseries(path, dt=1.0).samples
+    assert back.tobytes() == x.tobytes()

@@ -16,7 +16,7 @@ from mesa.core import (
 )
 from mesa.estimator import FAST_BURG_MIN_N, fit
 from mesa.selection import (
-    EarlyStopConfig,
+    default_patience,
     loss_fpe,
     max_order,
     scan_orders,
@@ -31,10 +31,10 @@ def make_trace(p, c, n):
     return RecursionTrace(p=p, c=c, dt=1.0, n_samples=n)
 
 
-def scan(p, criterion, n, c=None):
-    """Full scan of the powers ``p`` (indexed by order) and reflections ``c``."""
+def scan(p, criterion, n, c=None, patience=math.inf):
+    """Scan of the powers ``p`` (indexed by order) and reflections ``c``, in full by default."""
     c = np.zeros(len(p) - 1) if c is None else c
-    return scan_orders(p[0], zip(p[1:], c), Criterion(criterion), n, EarlyStopConfig.full_scan())
+    return scan_orders(p[0], zip(p[1:], c), Criterion(criterion), n, patience)
 
 
 # --- max_order ---------------------------------------------------------------
@@ -101,7 +101,7 @@ def test_scan_matches_direct_loss(criterion, oracle):
     # match the closed form at every order
     x = np.random.default_rng(8).standard_normal(1000)
     trace = fit(TimeSeries(x, dt=1.0), 40)
-    sel = select_order(trace, criterion, EarlyStopConfig.full_scan())
+    sel = select_order(trace, criterion, math.inf)
     assert sel.losses.size == 41
     first = 0 if criterion == "obd" else 1
     assert np.isnan(sel.losses[:first]).all()
@@ -134,7 +134,7 @@ def test_obd_hand_values():
 def test_select_picks_first_minimum():
     # power drops hard at order 1 then barely improves: FPE must pick 1
     trace = make_trace(p=[4.0, 1.0, 0.999], c=[np.sqrt(0.75), np.sqrt(1 - 0.999)], n=1000)
-    sel = select_order(trace, "fpe", EarlyStopConfig.full_scan())
+    sel = select_order(trace, "fpe", math.inf)
     assert sel.chosen_order == 1
     assert sel.chosen_order == int(np.nanargmin(sel.losses))
 
@@ -146,7 +146,7 @@ def test_select_white_noise_picks_small_orders():
     for seed in range(5):
         x = np.random.default_rng(seed).standard_normal(20_000)
         trace = fit(TimeSeries(x, dt=1.0), 64)
-        sel = select_order(trace, Criterion.FPE, EarlyStopConfig.full_scan())
+        sel = select_order(trace, Criterion.FPE, math.inf)
         orders.append(sel.chosen_order)
         assert sel.losses[sel.chosen_order] == pytest.approx(sel.losses[0], rel=5e-3)
     assert np.median(orders) == 0
@@ -157,7 +157,7 @@ def test_fpe_constant_power_is_increasing_in_order():
     n = 500
     p = np.full(21, 2.0)
     trace = make_trace(p, np.zeros(20), n)
-    sel = select_order(trace, "fpe", EarlyStopConfig.full_scan())
+    sel = select_order(trace, "fpe", math.inf)
     assert sel.chosen_order == 0
     assert np.all(np.diff(sel.losses) > 0)
 
@@ -165,7 +165,7 @@ def test_fpe_constant_power_is_increasing_in_order():
 def test_cat_scan_starts_at_order_one():
     x = np.random.default_rng(2).standard_normal(5000)
     trace = fit(TimeSeries(x, dt=1.0), 32)
-    sel = select_order(trace, "cat", EarlyStopConfig.full_scan())
+    sel = select_order(trace, "cat", math.inf)
     assert np.isnan(sel.losses[0])
     assert sel.chosen_order >= 1
 
@@ -174,18 +174,17 @@ def test_scaling_data_leaves_fpe_argmin_unchanged():
     x = np.random.default_rng(3).standard_normal(4000)
     t1 = fit(TimeSeries(x, dt=1.0), 40)
     t2 = fit(TimeSeries(5.0 * x, dt=1.0), 40)
-    cfg = EarlyStopConfig.full_scan()
     for crit in ("fpe", "cat", "cat-invsum"):
-        assert select_order(t1, crit, cfg).chosen_order == \
-            select_order(t2, crit, cfg).chosen_order
+        assert select_order(t1, crit, math.inf).chosen_order == \
+            select_order(t2, crit, math.inf).chosen_order
 
 
 def test_early_stop_with_large_patience_matches_full_scan():
     x = np.random.default_rng(4).standard_normal(3000)
     trace = fit(TimeSeries(x, dt=1.0), 100)
     for crit in Criterion:
-        full = select_order(trace, crit, EarlyStopConfig.full_scan())
-        patient = select_order(trace, crit, EarlyStopConfig(enabled=True, patience=100))
+        full = select_order(trace, crit, math.inf)
+        patient = select_order(trace, crit, 100)
         assert full.chosen_order == patient.chosen_order
         assert not patient.early_stopped or patient.chosen_order == full.chosen_order
 
@@ -193,7 +192,7 @@ def test_early_stop_with_large_patience_matches_full_scan():
 def test_early_stop_truncates_scan():
     x = np.random.default_rng(5).standard_normal(3000)
     trace = fit(TimeSeries(x, dt=1.0), 200)
-    sel = select_order(trace, "fpe", EarlyStopConfig(enabled=True, patience=10))
+    sel = select_order(trace, "fpe", 10)
     assert sel.early_stopped
     assert sel.losses.size < 201
 
@@ -213,17 +212,22 @@ def test_trace_without_sample_count_rejected():
         select_order(trace, "fpe")
 
 
-def test_early_stop_config_validation():
+@pytest.mark.parametrize("patience", [0, 0.5, -1, math.nan])
+def test_scan_rejects_patience_below_one(patience):
     with pytest.raises(ValidationError):
-        EarlyStopConfig(patience=0)
-    assert EarlyStopConfig.default(5000, "fpe").patience == 500
-    assert EarlyStopConfig.default(100, "obd").patience == 100
+        scan([1.0, 0.5], "fpe", 100, c=[np.sqrt(0.5)], patience=patience)
+
+
+def test_default_patience():
+    assert default_patience(5000, "fpe") == 500
+    assert default_patience(5001, "cat") == 501
+    assert default_patience(100, "obd") == 100
 
 
 def test_cat_inverse_sum_defaults_to_full_scan():
     # its loss has deep local minima far below the global one
-    assert EarlyStopConfig.default(5000, "cat-invsum") == EarlyStopConfig.full_scan()
-    assert EarlyStopConfig.default(5000, Criterion.CAT_INVSUM) == EarlyStopConfig.full_scan()
+    assert default_patience(5000, "cat-invsum") == math.inf
+    assert default_patience(5000, Criterion.CAT_INVSUM) == math.inf
     x = np.random.default_rng(9).standard_normal(2000)
     trace = fit(TimeSeries(x, dt=1.0), 300)
     sel = select_order(trace, "cat-invsum")
@@ -269,13 +273,13 @@ def parity_input(name, n=PARITY_NS[0]):
 def test_stopped_fit_matches_full_fit(name, n, crit, scan):
     ts, full = parity_input(name, n)
     m_max = full.max_order
-    cfg = EarlyStopConfig.default(m_max, crit) if scan == "default" else EarlyStopConfig.full_scan()
-    expected = select_order(full, crit, cfg)
-    stopped = fit(ts, m_max, criterion=crit, early_stop=None if scan == "default" else cfg)
-    got = select_order(stopped, crit, cfg)
+    patience = default_patience(m_max, crit) if scan == "default" else math.inf
+    expected = select_order(full, crit, patience)
+    stopped = fit(ts, m_max, criterion=crit, patience=None if scan == "default" else patience)
+    got = select_order(stopped, crit)
     assert got.to_dict() == expected.to_dict()
     # the scan that stopped the recursion is the one select_order returns
-    assert got is stopped.selection and select_order(stopped, crit) is got
+    assert got is stopped.selection
     assert json.dumps(stopped.model(got.chosen_order).to_dict()) == \
         json.dumps(full.model(expected.chosen_order).to_dict())
     # the recursion ran exactly as far as the scan read, and bit for bit as the full one
@@ -290,11 +294,13 @@ def test_stopped_trace_rejects_another_scan():
     ts, full = parity_input("white")
     stopped = fit(ts, full.max_order, criterion="fpe")
     assert stopped.selection.early_stopped
-    for crit, cfg in (("obd", None), ("fpe", EarlyStopConfig.full_scan())):
+    # an explicit patience asks for a new scan, even the one the fit ran
+    m_max = full.max_order
+    for crit, patience in (("obd", None), ("fpe", math.inf), ("fpe", default_patience(m_max, "fpe"))):
         with pytest.raises(ValidationError):
-            select_order(stopped, crit, cfg)
+            select_order(stopped, crit, patience)
     # a recursion its scan read to the end can be scanned again
-    whole = fit(ts, 300, criterion="fpe", early_stop=EarlyStopConfig.full_scan())
+    whole = fit(ts, 300, criterion="fpe", patience=math.inf)
     expected = select_order(fit(ts, 300), "obd")
     assert select_order(whole, "obd").to_dict() == expected.to_dict()
 

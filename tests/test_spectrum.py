@@ -103,6 +103,16 @@ def test_psd_fast_path_matches_direct_summation():
                                direct_psd_oracle(model, grid2), rtol=1e-11)
 
 
+@pytest.mark.parametrize("n_freqs,sided", [(2, "one_sided"), (9, "one_sided"),
+                                           (3, "two_sided"), (9, "two_sided")])
+def test_psd_fast_path_on_grid_coarser_than_order(n_freqs, sided):
+    # the FFT has fewer points than the order-24 filter has coefficients
+    x = np.random.default_rng(21).standard_normal(2000)
+    model = fit(TimeSeries(x, dt=0.1), 24).model(24)
+    grid = frequency_grid(n_freqs, 0.1, sided)
+    np.testing.assert_allclose(psd(model, grid).values, direct_psd_oracle(model, grid), rtol=1e-11)
+
+
 def test_psd_default_grid():
     model = ArModel(a=[1.0, -0.5], p_m=1.0, dt=1.0)
     sd = psd(model)
