@@ -40,6 +40,14 @@ def default_patience(scan_max_order: int, criterion: Criterion | str) -> float:
     return max(100, -(-scan_max_order // 10))
 
 
+def _inverse_unbiased_power(pm, n: int, m: int) -> float | None:
+    """1/Pbar_m = (N-m)/(N P_m), or None where it is not finite (P_m zero or subnormal)."""
+    if pm == 0.0:
+        return None
+    inv = (n - m) / (n * float(pm))  # a Python float overflows to inf without a warning
+    return inv if math.isfinite(inv) else None
+
+
 def _loss_sequence(orders, criterion: Criterion, n: int):
     """Yield (order, loss) for (order, p_order, c_{order-1}) from ``orders``.
 
@@ -65,19 +73,21 @@ def _loss_sequence(orders, criterion: Criterion, n: int):
         for m, pm, _ in orders:
             if m == 0:
                 continue
-            if pm == 0.0:
+            inv = _inverse_unbiased_power(pm, n, m)
+            if inv is None:
                 return
-            acc += (n - m) / (n * pm)
-            yield m, acc / n - (n - m) / (n * pm)
+            acc += inv
+            yield m, acc / n - inv
     elif criterion is Criterion.CAT_INVSUM:
         acc = 0.0
         for m, pm, _ in orders:
             if m == 0:
                 continue
-            if pm == 0.0:
+            inv = _inverse_unbiased_power(pm, n, m)
+            if inv is None:
                 return
             acc += n * pm / (n - m)
-            yield m, 1.0 / (n * acc) - (n - m) / (n * pm)
+            yield m, 1.0 / (n * acc) - inv
     elif criterion is Criterion.OBD:
         # the order-m coefficient vector is raised from order m-1 as orders arrive
         log_acc = 0.0

@@ -1,10 +1,13 @@
 """Conditional forecasting: recursion, determinism, calibration."""
+import json
+
 import numpy as np
 import pytest
 
 from mesa._rng import make_rng
+from mesa.cli import main
 from mesa.core import ArModel, TimeSeries, ValidationError
-from mesa.forecast import forecast, forecast_summary
+from mesa.forecast import TOLERANCE, forecast, forecast_summary, rounding_bound
 from mesa.synth import generate_ar, random_ar_model
 
 
@@ -72,7 +75,81 @@ def test_forecast_bitwise_equal_to_shift_loop(order, horizon, noise_scale):
     seed = TimeSeries(np.random.default_rng(order).standard_normal(order + 30), dt=0.5)
     ens = forecast(model, seed, horizon, 9, rng_seed=17, noise_scale=noise_scale)
     expected = shift_loop_forecast(model, seed, horizon, 9, 17, noise_scale)
-    assert ens.realizations.tobytes() == expected.tobytes()
+    if order == 0:
+        assert ens.realizations.tobytes() == expected.tobytes()
+    else:  # superposition rounds differently from the recursion (measured <= 7.1e-16 of max|y|)
+        np.testing.assert_allclose(ens.realizations, expected, rtol=0,
+                                   atol=1e-12 * np.abs(expected).max())
+
+
+def impulse_response(b, horizon):
+    """h_0 = 1, h_t = sum_i b_i h_{t-i}: the response of 1/A(z), by direct recursion."""
+    h = np.zeros(horizon)
+    h[0] = 1.0
+    for t in range(1, horizon):
+        k = min(t, b.size)
+        h[t] = b[:k] @ h[t - 1 :: -1][:k]
+    return h
+
+
+def ar_from_roots(*roots):
+    return np.real(np.poly(roots))
+
+
+def conjugate_pair(r, theta=0.3):
+    return ar_from_roots(r * np.exp(1j * theta), r * np.exp(-1j * theta))
+
+
+@pytest.mark.parametrize("a,horizon", [
+    ([1.0, -0.9999], 3000),
+    (conjugate_pair(0.9995), 1000),
+    (conjugate_pair(0.9995), 5000),
+    (conjugate_pair(0.99999), 1000),
+    (conjugate_pair(0.99999), 5000),
+    (ar_from_roots(0.9999, 0.9999), 8000),
+    ([1.0, -1.0], 1000),
+    ([1.0, -2.0, 1.0], 1000),
+    (random_ar_model(3, p_min=512, p_max=512).a, 1000),
+], ids=["ar1-0.9999", "r0.9995-H1000", "r0.9995-H5000", "r0.99999-H1000", "r0.99999-H5000",
+        "double-0.9999", "unit-root", "double-unit-root", "random-ar512"])
+def test_forecast_matches_recursion_on_hard_models(a, horizon):
+    # on every step the error stays within the stated bound times that step's
+    # spread sigma_t, plus rounding of the noiseless continuation z
+    model = ArModel(a=a, p_m=1.3, dt=1.0)
+    seed = TimeSeries(3 * np.random.default_rng(5).standard_normal(model.order + 40), dt=1.0)
+    got = forecast(model, seed, horizon, 8, rng_seed=3).realizations
+    expected = shift_loop_forecast(model, seed, horizon, 8, 3, 1.0)
+    h = impulse_response(model.b, horizon)
+    bound = rounding_bound(h)
+    assert bound <= TOLERANCE
+    sigma = np.sqrt(model.p_m * np.cumsum(h * h))
+    z_rounding = 16 * np.finfo(np.float64).eps * np.abs(expected).max()
+    assert np.all(np.abs(got - expected) <= bound * sigma + z_rounding)
+
+
+@pytest.mark.parametrize("b", [1.05, 1.5])
+def test_forecast_rejects_explosive_models(b, tmp_path):
+    # h grows as b^t, so the convolution's rounding would swamp the spread
+    model = ArModel(a=[1.0, -b], p_m=1.0, dt=1.0)
+    seed = TimeSeries([0.5, 1.0], dt=1.0)
+    with pytest.raises(ValidationError, match=r"max\|h\|"):
+        forecast(model, seed, 1000, 4, rng_seed=0)
+    mpath, data = tmp_path / "model.json", tmp_path / "seed.csv"
+    mpath.write_text(json.dumps(model.to_dict()))
+    data.write_text("0.5\n1.0\n")
+    assert main(["forecast", "--model", str(mpath), "--in", str(data), "--dt", "1.0",
+                 "--horizon", "1000", "--n-realizations", "4", "--seed", "0",
+                 "--out", str(tmp_path / "fc.csv")]) == 2
+    assert not (tmp_path / "fc.csv").exists()
+
+
+def test_members_independent_of_ensemble_size():
+    model = random_ar_model(32, p_min=32, p_max=32)
+    seed = TimeSeries(np.random.default_rng(32).standard_normal(100), dt=1.0)
+    full = forecast(model, seed, 200, 130, rng_seed=8).realizations
+    for n_realizations in (1, 3, 64, 65, 100):
+        part = forecast(model, seed, 200, n_realizations, rng_seed=8).realizations
+        assert part.tobytes() == full[:n_realizations].tobytes(), n_realizations
 
 
 def test_seed_shorter_than_order_rejected():

@@ -91,6 +91,17 @@ def test_cat_inverse_sum_hand_values():
     assert scan([np.nan, 1.0, 0.0], "cat-invsum", 100).losses.size == 2
 
 
+@pytest.mark.parametrize("criterion", ["cat", "cat-invsum"])
+def test_cat_scans_end_before_a_subnormal_power(criterion):
+    # 1/Pbar_m overflows on a positive subnormal power, so the scan ends
+    # before that order, as it does before a zero power
+    p = np.array([1.0, 0.5, 0.25, 5e-324, 5e-324])
+    sel = scan(p, criterion, 100)
+    assert sel.losses.size == 3  # the order-0 pad, then orders 1 and 2
+    assert np.isfinite(sel.losses[1:]).all()
+    assert sel.chosen_order in (1, 2)
+
+
 @pytest.mark.parametrize("criterion,oracle", [
     ("cat", lambda trace, n, m: loss_cat(trace.p, n, m)),
     ("cat-invsum", lambda trace, n, m: loss_cat_inverse_sum(trace.p, n, m)),
