@@ -1,13 +1,12 @@
 """Maximum entropy (Burg) spectral analysis toolkit.
 
-Fit AR models with the Levinson/Burg recursion, pick the order with
+Fit AR models with Burg's recursion, pick the order with
 FPE/CAT/OBD losses, evaluate the maximum-entropy PSD, forecast future
 samples, generate synthetic data from target spectra, and compare against
 a Welch baseline.
 """
 from mesa.baseline import tukey_window, welch_psd
 from mesa.core import (
-    AccuracyError,
     ArModel,
     Criterion,
     DegenerateModelError,
@@ -22,14 +21,7 @@ from mesa.core import (
     UndefinedLossError,
     ValidationError,
 )
-from mesa.estimator import (
-    fit,
-    fit_from_autocorr,
-    levinson_step,
-    reflection_coefficients,
-    reflection_yule_walker,
-    sample_autocorrelation,
-)
+from mesa.estimator import fit, reflection_coefficients
 from mesa.forecast import ForecastSummary, forecast, forecast_summary
 from mesa.selection import (
     loss_fpe,
@@ -37,7 +29,6 @@ from mesa.selection import (
     select_order,
 )
 from mesa.spectrum import (
-    autocorr_from_psd,
     frequency_grid,
     psd,
     to_one_sided,

@@ -104,8 +104,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--dt", type=float, default=None,
                    help="sampling interval (default 0.125 for the Gaussian target, "
-                        "Nyquist-matched for tabulated targets)")
-    p.add_argument("--burn-in", type=int, default=None, help="AR warm-up samples to discard")
+                        "Nyquist-matched for tabulated targets; not with --model)")
+    p.add_argument("--burn-in", type=int, default=None,
+                   help="AR warm-up samples to discard (--model only)")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate)
@@ -214,9 +215,13 @@ def cmd_forecast(args) -> int:
 
 def cmd_generate(args) -> int:
     if args.model is not None:
+        if args.dt is not None:
+            raise ValidationError("--dt does not apply to --model: the model's own dt is used")
         model = _load_model(args.model)
         ts = synth.generate_ar(model, args.n, burn_in=args.burn_in, rng_seed=args.seed)
     else:
+        if args.burn_in is not None:
+            raise ValidationError("--burn-in applies only to --model")
         if args.psd_gaussian is not None:
             mu, sigma = args.psd_gaussian
             target = validate.gaussian_bump(mu, sigma)

@@ -36,10 +36,6 @@ class UndefinedLossError(SpectralError):
     """An order-selection loss is undefined for the given arguments."""
 
 
-class AccuracyError(SpectralError):
-    """A numerical result cannot be trusted at the requested accuracy."""
-
-
 class GenerationError(SpectralError):
     """Synthetic-data generation failed (e.g. rejection budget exceeded)."""
 

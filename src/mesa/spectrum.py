@@ -1,4 +1,4 @@
-"""MESA spectral density evaluation and PSD <-> autocorrelation conversion.
+"""MESA spectral density evaluation and one-sided <-> two-sided conversion.
 
 The density of an :class:`~mesa.core.ArModel` is
 
@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from mesa.core import (
-    AccuracyError,
     ArModel,
     DegenerateModelError,
     Sided,
@@ -107,42 +106,6 @@ def psd(model: ArModel, freqs: np.ndarray | None = None) -> SpectralDensity:
             "predictable to working precision"
         )
     return SpectralDensity(freqs=freqs, values=values, sided=Sided.TWO_SIDED)
-
-
-def autocorr_from_psd(sd: SpectralDensity, lags) -> np.ndarray:
-    """Trapezoid quadrature of int S(f) exp(i 2 pi f k dt) df at each lag.
-
-    Requires a two-sided density on a dense uniform symmetric grid; the
-    grid must carry at least 8 points per requested lag for the oscillatory
-    integrand to be resolved.
-    """
-    lags = np.asarray(lags, dtype=np.int64)
-    if sd.sided is not Sided.TWO_SIDED:
-        raise ValidationError("autocorrelation recovery needs a two-sided density")
-    freqs = sd.freqs
-    if freqs.size < 2:
-        raise ValidationError("grid too small")
-    df = np.diff(freqs)
-    if np.max(np.abs(df - df[0])) > 1e-9 * abs(df[0]):
-        raise ValidationError("frequency grid must be uniform")
-    if abs(freqs[0] + freqs[-1]) > 1e-9 * freqs[-1]:
-        raise ValidationError("two-sided grid must be symmetric about 0")
-    max_lag = int(np.max(np.abs(lags))) if lags.size else 0
-    if freqs.size < 8 * max_lag:
-        raise AccuracyError(
-            f"grid of {freqs.size} points is too coarse for lag {max_lag} (need >= {8 * max_lag})"
-        )
-    dt = 1.0 / (2.0 * freqs[-1])
-    weights = np.full(freqs.size, df[0])
-    weights[0] *= 0.5
-    weights[-1] *= 0.5
-    weighted = weights * sd.values
-    phases = np.exp(2j * np.pi * dt * np.outer(lags, freqs))
-    r = phases @ weighted
-    bad = np.abs(r.imag) >= 1e-8 * np.abs(r.real) + 1e-12
-    if np.any(bad):
-        raise AccuracyError("imaginary residue of the constraint integral is too large")
-    return np.ascontiguousarray(r.real)
 
 
 def to_one_sided(sd: SpectralDensity) -> SpectralDensity:

@@ -19,12 +19,13 @@ import pytest
 
 from mesa.baseline import tukey_window, welch_psd
 from mesa.core import ArModel, Criterion, Sided, SpectralDensity, TimeSeries
-from mesa.estimator import fit, levinson_step, reflection_yule_walker, sample_autocorrelation
+from mesa.estimator import fit
 from mesa.forecast import forecast, forecast_summary
 from mesa.selection import loss_fpe, max_order, scan_orders, select_order
-from mesa.spectrum import autocorr_from_psd, frequency_grid, psd, to_two_sided
+from mesa.spectrum import frequency_grid, psd, to_two_sided
 from mesa.synth import generate_ar, generate_from_psd
 from mesa.validate import relative_error_freq_avg, run_gaussian_experiment, run_order_recovery
+from oracles import autocorr_from_psd, levinson_step, reflection_yule_walker, sample_autocorrelation
 
 GAUSSIAN_SEED = 515
 RECOVERY_SEED = 99

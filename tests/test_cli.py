@@ -187,6 +187,19 @@ def test_generate_ar_model_roundtrip(tmp_path):
     assert len(ts) == 400
 
 
+@pytest.mark.parametrize("source, flag", [
+    (["--model", "{model}"], ["--dt", "0.5"]),
+    (["--psd-gaussian", "2.5", "0.5"], ["--burn-in", "100"]),
+], ids=["dt-with-model", "burn-in-without-model"])
+def test_generate_rejects_a_flag_it_would_ignore(tmp_path, capsys, source, flag):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(ArModel(a=[1.0, -0.7], p_m=1.0, dt=0.25).to_dict()))
+    argv = ["generate", *source, *flag, "--n", "100", "--seed", "1", "--out", tmp_path / "g.csv"]
+    assert run([str(a).format(model=model) for a in argv]) == 2
+    assert flag[0] in capsys.readouterr().err
+    assert not (tmp_path / "g.csv").exists()
+
+
 @pytest.mark.parametrize("payload", [
     {"a": "abc", "p_m": 1.0, "dt": 1.0},
     {"a": [1.0, -0.5], "p_m": None, "dt": 1.0},

@@ -10,15 +10,9 @@ import pytest
 from scipy.signal import lfilter
 
 from mesa.core import DegenerateModelError, TimeSeries, ValidationError
-from mesa.estimator import (
-    fit,
-    fit_from_autocorr,
-    levinson_step,
-    reflection_coefficients,
-    reflection_yule_walker,
-    sample_autocorrelation,
-)
+from mesa.estimator import fit, reflection_coefficients
 from mesa.selection import max_order
+from oracles import fit_from_autocorr, levinson_step, reflection_yule_walker, sample_autocorrelation
 
 
 def autocorr_oracle(x, max_lag):

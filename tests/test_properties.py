@@ -16,11 +16,11 @@ from mesa.estimator import (
     _fast_steps,
     _steps,
     fit,
-    levinson_step,
     reflection_coefficients,
 )
 from mesa.selection import default_patience, max_order, select_order
 from mesa.spectrum import _denominator_direct, frequency_grid, psd
+from oracles import levinson_step
 
 # the tolerance of fast Burg against the lattice, in c and in relative p, at
 # orders whose lattice power is at least MIN_P_RATIO * p0

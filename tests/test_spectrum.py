@@ -3,7 +3,6 @@ import numpy as np
 import pytest
 
 from mesa.core import (
-    AccuracyError,
     ArModel,
     DegenerateModelError,
     Sided,
@@ -11,15 +10,15 @@ from mesa.core import (
     TimeSeries,
     ValidationError,
 )
-from mesa.estimator import fit, fit_from_autocorr, sample_autocorrelation
+from mesa.estimator import fit
 from mesa.spectrum import (
-    autocorr_from_psd,
     default_grid_size,
     frequency_grid,
     psd,
     to_one_sided,
     to_two_sided,
 )
+from oracles import AccuracyError, autocorr_from_psd, fit_from_autocorr, sample_autocorrelation
 
 
 def direct_psd_oracle(model, freqs):
