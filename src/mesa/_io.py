@@ -54,15 +54,16 @@ def _read_numeric_rows(path) -> np.ndarray:
     """Parse a numeric table whose cells are separated by commas and/or whitespace.
 
     Blank lines are skipped, and so is a first line that does not parse (a
-    header). One C-level ``np.loadtxt`` pass reads well-formed files; any
-    other file goes through :func:`_read_numeric_lines`, which gives the
-    same values or says what is wrong.
+    header). A file that is not UTF-8 text is rejected. One C-level
+    ``np.loadtxt`` pass reads well-formed files; any other file goes through
+    :func:`_read_numeric_lines`, which gives the same values or says what is
+    wrong.
     """
     try:
         with open(path, "r", encoding="utf-8-sig") as handle:
             text = handle.read()
-    except UnicodeDecodeError:
-        return _read_numeric_lines(path)
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not a text file ({exc.reason})") from exc
     first, _, rest = text.partition("\n")
     body = text if _parses(first) else rest
     if body.strip() and not _COMMAS_ONLY.search("\n" + body):
@@ -78,20 +79,17 @@ def _read_numeric_lines(path) -> np.ndarray:
     names the first row that is wrong."""
     rows = []
     with open(path, "r", encoding="utf-8-sig") as handle:
-        try:
-            for lineno, line in enumerate(handle):
-                line = line.strip()
-                if not line:
-                    continue
-                parts = [p for p in line.replace(",", " ").split() if p]
-                try:
-                    rows.append([float(p) for p in parts])
-                except ValueError:
-                    if lineno == 0:
-                        continue  # header line
-                    raise ValidationError(f"{path}: unparseable row {lineno + 1}: {line!r}")
-        except UnicodeDecodeError as exc:
-            raise ValidationError(f"{path}: not a text file ({exc.reason})") from exc
+        for lineno, line in enumerate(handle):
+            line = line.strip()
+            if not line:
+                continue
+            parts = [p for p in line.replace(",", " ").split() if p]
+            try:
+                rows.append([float(p) for p in parts])
+            except ValueError:
+                if lineno == 0:
+                    continue  # header line
+                raise ValidationError(f"{path}: unparseable row {lineno + 1}: {line!r}")
     if not rows:
         raise ValidationError(f"{path}: no data rows")
     width = len(rows[0])

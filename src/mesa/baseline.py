@@ -34,15 +34,16 @@ def tukey_window(n: int, alpha: float) -> np.ndarray:
 def welch_psd(
     ts: TimeSeries,
     segment_len: int,
-    overlap_fraction: float = 0.5,
-    window: np.ndarray | None = None,
+    overlap_fraction: float,
+    window: np.ndarray,
     detrend: bool = False,
 ) -> SpectralDensity:
     """One-sided Welch estimate: averaged |DFT(window * segment)|^2 dt / sum(w^2).
 
     The hop is floor(segment_len * (1 - overlap_fraction)); a trailing
-    partial segment is dropped. ``window=None`` means rectangular; segment
-    means are subtracted only when ``detrend`` is set.
+    partial segment is dropped. ``tukey_window(segment_len, 0.0)`` is the
+    rectangular window; segment means are subtracted only when ``detrend``
+    is set.
     """
     x = np.asarray(ts.samples, dtype=np.float64)
     n = x.size
@@ -52,8 +53,6 @@ def welch_psd(
         raise ValidationError("segment_len must be >= 2")
     if not 0.0 <= overlap_fraction < 1.0:
         raise ValidationError("overlap_fraction must be in [0, 1)")
-    if window is None:
-        window = np.ones(segment_len)
     window = np.asarray(window, dtype=np.float64)
     if window.size != segment_len:
         raise ValidationError("window length must equal segment_len")

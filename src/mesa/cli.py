@@ -99,8 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="analytic Gaussian-bump target PSD")
     src.add_argument("--psd", help="tabulated target PSD CSV (frequency_hz,psd)")
     src.add_argument("--model", help="AR model JSON to simulate")
-    p.add_argument("--psd-interp", choices=[i.value for i in synth.Interpolation],
-                   default="linear")
+    p.add_argument("--psd-interp", choices=[i.value for i in synth.Interpolation], default=None,
+                   help="interpolation of the tabulated target (default linear; --psd only)")
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--dt", type=float, default=None,
                    help="sampling interval (default 0.125 for the Gaussian target, "
@@ -214,6 +214,8 @@ def cmd_forecast(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    if args.psd_interp is not None and args.psd is None:
+        raise ValidationError("--psd-interp applies only to --psd")
     if args.model is not None:
         if args.dt is not None:
             raise ValidationError("--dt does not apply to --model: the model's own dt is used")
@@ -227,7 +229,7 @@ def cmd_generate(args) -> int:
             target = validate.gaussian_bump(mu, sigma)
             dt = args.dt if args.dt is not None else 0.125
         else:
-            target = _io.read_tabulated_psd(args.psd, args.psd_interp)
+            target = _io.read_tabulated_psd(args.psd, args.psd_interp or "linear")
             dt = args.dt if args.dt is not None else 1.0 / (2.0 * target.freqs[-1])
         ts = synth.generate_from_psd(target, args.n, dt, args.seed)
     _io.write_timeseries_csv(args.out, ts)

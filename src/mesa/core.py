@@ -165,14 +165,15 @@ class RecursionTrace:
     numbers: every order's coefficient vector follows from ``c`` and is
     rebuilt on demand by replaying the order-update (:meth:`coefficients`).
 
-    When the fit ran an order scan to stop the recursion, ``selection`` is
-    that scan's result.
+    ``n_samples`` is the length of the fitted series, which the
+    order-selection losses read. When the fit ran an order scan to stop the
+    recursion, ``selection`` is that scan's result.
     """
 
     p: np.ndarray
     c: np.ndarray
     dt: float
-    n_samples: int | None = None
+    n_samples: int
     selection: OrderSelection | None = None
 
     def __post_init__(self):
@@ -277,21 +278,16 @@ class OrderSelection:
 
 @dataclass(frozen=True, eq=False)
 class ForecastEnsemble:
-    """Matrix of forecast realizations plus the model that produced them."""
+    """Matrix of forecast realizations: one row per member, one column per step."""
 
     realizations: np.ndarray
-    seed_length: int
-    model: ArModel
 
     def __post_init__(self):
         object.__setattr__(self, "realizations", _readonly(self.realizations))
-        object.__setattr__(self, "seed_length", int(self.seed_length))
         _require(self.realizations.ndim == 2, "realizations must be a 2-D matrix")
         _require(self.realizations.shape[0] >= 1, "need at least one realization")
         _require(self.realizations.shape[1] >= 1, "horizon must be >= 1")
         _require(bool(np.isfinite(self.realizations).all()), "realizations must be finite")
-        _require(self.seed_length >= 0, "seed_length must be >= 0")
-        _require(isinstance(self.model, ArModel), "model must be an ArModel")
 
     @property
     def n_realizations(self) -> int:

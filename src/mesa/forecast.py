@@ -82,7 +82,7 @@ def forecast(
         make_rng(rng_seed, i).standard_normal(horizon, out=out[i])
     if not m:  # order 0: a member is its scaled noise
         out *= scale
-        return ForecastEnsemble(realizations=out, seed_length=0, model=model)
+        return ForecastEnsemble(realizations=out)
 
     nfft = 1 << (2 * horizon - 2).bit_length()  # >= 2H-1: no circular wrap into steps 0..H-1
     kernel = np.fft.rfft(h, nfft) * scale
@@ -92,7 +92,7 @@ def forecast(
         spectrum = np.fft.rfft(rows, nfft)
         spectrum *= kernel
         np.add(np.fft.irfft(spectrum, nfft)[:, :horizon], z, out=rows)
-    return ForecastEnsemble(realizations=out, seed_length=m, model=model)
+    return ForecastEnsemble(realizations=out)
 
 
 def _continuation_and_response(model: ArModel, seed: TimeSeries, horizon: int):

@@ -167,9 +167,6 @@ def select_order(
     patience: it lacks the orders another scan may read.
     """
     criterion = Criterion(criterion)
-    n = trace.n_samples
-    if n is None:
-        raise ValidationError("trace has no sample count; order-selection losses need it")
     if trace.max_order < 1:
         raise ValidationError("trace must hold at least order 1")
     held = trace.selection
@@ -183,4 +180,4 @@ def select_order(
             )
     if patience is None:
         patience = default_patience(trace.max_order, criterion)
-    return scan_orders(trace.p[0], zip(trace.p[1:], trace.c), criterion, n, patience)
+    return scan_orders(trace.p[0], zip(trace.p[1:], trace.c), criterion, trace.n_samples, patience)

@@ -90,7 +90,7 @@ def generate_from_psd(target, n: int, dt: float, rng_seed: int) -> TimeSeries:
     return TimeSeries(samples=np.fft.irfft(coeff, n), dt=dt)
 
 
-def generate_ar(model: ArModel, n: int, burn_in: int | None = None, rng_seed: int = 0) -> TimeSeries:
+def generate_ar(model: ArModel, n: int, burn_in: int | None = None, *, rng_seed: int) -> TimeSeries:
     """Simulate the AR process of ``model`` from a zero initial state.
 
     ``burn_in`` samples (default 10x the order) are discarded so the
@@ -112,14 +112,15 @@ def generate_ar(model: ArModel, n: int, burn_in: int | None = None, rng_seed: in
     return TimeSeries(samples=x[burn_in:], dt=model.dt)
 
 
-def random_ar_model(rng_seed: int, p_min: int = 2, p_max: int = 5000, dt: float = 1.0) -> ArModel:
+def random_ar_model(rng_seed: int, p_min: int = 2, p_max: int = 5000) -> ArModel:
     """Random stable AR model for order-recovery studies.
 
     The order is log-uniform on [p_min, p_max]; coefficient magnitudes come
     from a flat Dirichlet over the simplex with independent fair-coin signs.
     Coefficient draws are rejected until the model is stable -- sign
     patterns summing the magnitudes to 1 at z = +/-1 put roots exactly on
-    the unit circle, so a small margin on |c| rejects those too.
+    the unit circle, so a small margin on |c| rejects those too. The model
+    has unit noise power and dt = 1.
     """
     if not 2 <= p_min <= p_max:
         raise ValidationError(f"need 2 <= p_min <= p_max, got ({p_min}, {p_max})")
@@ -131,5 +132,5 @@ def random_ar_model(rng_seed: int, p_min: int = 2, p_max: int = 5000, dt: float 
         signs = rng.integers(0, 2, size=p) * 2 - 1
         a = np.concatenate([[1.0], signs * magnitudes])
         if np.max(np.abs(reflection_coefficients(a))) < 1.0 - _STABILITY_MARGIN:
-            return ArModel(a=a, p_m=1.0, dt=dt)
+            return ArModel(a=a, p_m=1.0, dt=1.0)
     raise GenerationError(f"no stable AR({p}) model found in {_REJECTION_BUDGET} attempts")

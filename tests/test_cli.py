@@ -190,7 +190,9 @@ def test_generate_ar_model_roundtrip(tmp_path):
 @pytest.mark.parametrize("source, flag", [
     (["--model", "{model}"], ["--dt", "0.5"]),
     (["--psd-gaussian", "2.5", "0.5"], ["--burn-in", "100"]),
-], ids=["dt-with-model", "burn-in-without-model"])
+    (["--psd-gaussian", "2.5", "0.5"], ["--psd-interp", "loglog"]),
+    (["--model", "{model}"], ["--psd-interp", "linear"]),
+], ids=["dt-with-model", "burn-in-without-model", "psd-interp-with-gaussian", "psd-interp-with-model"])
 def test_generate_rejects_a_flag_it_would_ignore(tmp_path, capsys, source, flag):
     model = tmp_path / "model.json"
     model.write_text(json.dumps(ArModel(a=[1.0, -0.7], p_m=1.0, dt=0.25).to_dict()))

@@ -68,7 +68,7 @@ def test_armodel_invalid(a, p_m, dt):
 
 
 def test_trace_invariants():
-    tr = RecursionTrace(p=[2.0, 1.5, 1.5], c=[-0.5, 0.0], dt=1.0)
+    tr = RecursionTrace(p=[2.0, 1.5, 1.5], c=[-0.5, 0.0], dt=1.0, n_samples=100)
     assert tr.max_order == 2
     for k, vec in enumerate(([1.0], [1.0, -0.5], [1.0, -0.5, 0.0])):
         np.testing.assert_array_equal(tr.coefficients(k), vec)
@@ -76,11 +76,11 @@ def test_trace_invariants():
     assert m.order == 1 and m.p_m == 1.5
 
     with pytest.raises(ValidationError):
-        RecursionTrace(p=[1.0, 2.0], c=[0.5], dt=1.0)  # increasing p
+        RecursionTrace(p=[1.0, 2.0], c=[0.5], dt=1.0, n_samples=100)  # increasing p
     with pytest.raises(ValidationError):
-        RecursionTrace(p=[1.0, 0.5], c=[1.5], dt=1.0)  # |c| > 1
+        RecursionTrace(p=[1.0, 0.5], c=[1.5], dt=1.0, n_samples=100)  # |c| > 1
     with pytest.raises(ValidationError):
-        RecursionTrace(p=[1.0, -0.5], c=[0.5], dt=1.0)  # negative power
+        RecursionTrace(p=[1.0, -0.5], c=[0.5], dt=1.0, n_samples=100)  # negative power
 
 
 def test_trace_replay_matches_hand_built_vectors():
@@ -94,7 +94,7 @@ def test_trace_replay_matches_hand_built_vectors():
     for ck in c:
         prev = coeffs[-1]
         coeffs.append(np.concatenate([prev, [0.0]]) + ck * np.concatenate([[0.0], prev[::-1]]))
-    trace = RecursionTrace(p=p, c=c, dt=1.0)
+    trace = RecursionTrace(p=p, c=c, dt=1.0, n_samples=100)
     for k in range(7):
         np.testing.assert_array_equal(trace.coefficients(k), coeffs[k])
 
@@ -123,13 +123,12 @@ def test_order_selection_argmin_checked():
 
 
 def test_forecast_ensemble_invariants():
-    model = ArModel(a=[1.0, -0.5], p_m=1.0, dt=1.0)
-    ens = ForecastEnsemble(realizations=np.zeros((3, 4)), seed_length=1, model=model)
+    ens = ForecastEnsemble(realizations=np.zeros((3, 4)))
     assert ens.n_realizations == 3 and ens.horizon == 4
     with pytest.raises(ValidationError):
-        ForecastEnsemble(realizations=np.zeros((0, 4)), seed_length=1, model=model)
+        ForecastEnsemble(realizations=np.zeros((0, 4)))
     with pytest.raises(ValidationError):
-        ForecastEnsemble(realizations=np.full((2, 2), np.nan), seed_length=1, model=model)
+        ForecastEnsemble(realizations=np.full((2, 2), np.nan))
 
 
 def test_json_roundtrips_are_exact():

@@ -71,7 +71,7 @@ def test_forecast_bitwise_equal_to_shift_loop(order, horizon, noise_scale):
     if order < 2:
         model = ArModel(a=[1.0, -0.6][: order + 1], p_m=1.7, dt=0.5)
     else:
-        model = random_ar_model(order, p_min=order, p_max=order, dt=0.5)
+        model = ArModel(a=random_ar_model(order, p_min=order, p_max=order).a, p_m=1.0, dt=0.5)
     seed = TimeSeries(np.random.default_rng(order).standard_normal(order + 30), dt=0.5)
     ens = forecast(model, seed, horizon, 9, rng_seed=17, noise_scale=noise_scale)
     expected = shift_loop_forecast(model, seed, horizon, 9, 17, noise_scale)
@@ -180,11 +180,10 @@ def test_one_step_residual_variance_matches_power():
 # --- forecast_summary -------------------------------------------------------
 
 def test_summary_identical_realizations():
-    model = ArModel(a=[1.0], p_m=1.0, dt=1.0)
     ens_matrix = np.tile([1.5, 2.5, 3.5], (4, 1))
     from mesa.core import ForecastEnsemble
 
-    ens = ForecastEnsemble(realizations=ens_matrix, seed_length=0, model=model)
+    ens = ForecastEnsemble(realizations=ens_matrix)
     s = forecast_summary(ens, (0.05, 0.95))
     np.testing.assert_array_equal(s.median, [1.5, 2.5, 3.5])
     np.testing.assert_array_equal(s.quantiles[0], [1.5, 2.5, 3.5])
@@ -194,9 +193,7 @@ def test_summary_identical_realizations():
 def test_summary_two_realizations_interpolates():
     from mesa.core import ForecastEnsemble
 
-    model = ArModel(a=[1.0], p_m=1.0, dt=1.0)
-    ens = ForecastEnsemble(realizations=np.array([[0.0, 0.0], [1.0, 1.0]]),
-                           seed_length=0, model=model)
+    ens = ForecastEnsemble(realizations=np.array([[0.0, 0.0], [1.0, 1.0]]))
     s = forecast_summary(ens, (0.25,))
     np.testing.assert_allclose(s.median, [0.5, 0.5])
     np.testing.assert_allclose(s.quantiles[0], [0.25, 0.25])
@@ -205,11 +202,10 @@ def test_summary_two_realizations_interpolates():
 def test_summary_validation():
     from mesa.core import ForecastEnsemble
 
-    model = ArModel(a=[1.0], p_m=1.0, dt=1.0)
-    single = ForecastEnsemble(realizations=np.zeros((1, 3)), seed_length=0, model=model)
+    single = ForecastEnsemble(realizations=np.zeros((1, 3)))
     with pytest.raises(ValidationError):
         forecast_summary(single)
-    pair = ForecastEnsemble(realizations=np.zeros((2, 3)), seed_length=0, model=model)
+    pair = ForecastEnsemble(realizations=np.zeros((2, 3)))
     with pytest.raises(ValidationError):
         forecast_summary(pair, (0.0, 0.95))
 
@@ -217,8 +213,7 @@ def test_summary_validation():
 def test_summary_column_names_are_distinct():
     from mesa.core import ForecastEnsemble
 
-    model = ArModel(a=[1.0], p_m=1.0, dt=1.0)
-    ens = ForecastEnsemble(realizations=np.zeros((2, 3)), seed_length=0, model=model)
+    ens = ForecastEnsemble(realizations=np.zeros((2, 3)))
     assert forecast_summary(ens).column_names() == ["step", "median", "q05", "q95"]
     s = forecast_summary(ens, (0.001, 0.05, 0.051, 0.07, 0.5, 0.999))
     assert s.column_names() == ["step", "median", "q00.1", "q05", "q05.1", "q07", "q50", "q99.9"]

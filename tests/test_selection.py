@@ -218,9 +218,8 @@ def test_selection_is_deterministic():
 
 
 def test_trace_without_sample_count_rejected():
-    trace = RecursionTrace(p=[1.0, 0.5], c=[np.sqrt(0.5)], dt=1.0)
-    with pytest.raises(ValidationError):
-        select_order(trace, "fpe")
+    with pytest.raises(TypeError):
+        RecursionTrace(p=[1.0, 0.5], c=[np.sqrt(0.5)], dt=1.0)
 
 
 @pytest.mark.parametrize("patience", [0, 0.5, -1, math.nan])
