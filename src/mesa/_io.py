@@ -5,7 +5,6 @@ round-trip exactly.
 """
 from __future__ import annotations
 
-import io
 import json
 import os
 import re
@@ -41,6 +40,10 @@ def atomic_write_text(path, text: str) -> None:
 # first line is checked too.
 _COMMAS_ONLY = re.compile(r"\n[^\S\n]*,[\s,]*(?:\n|\Z)")
 
+# Characters decoded per read: the reader's memory is a chunk of text and
+# the rows parsed so far, not the whole file.
+_CHUNK_CHARS = 1 << 16
+
 
 def _parses(line: str) -> bool:
     try:
@@ -50,27 +53,53 @@ def _parses(line: str) -> bool:
     return True
 
 
+def _loadtxt_lines(handle, text: str):
+    """Lines of ``text`` and then of the rest of ``handle``, commas made blanks.
+
+    The file is read a chunk at a time and each chunk is cut after its last
+    newline, so every line is checked and converted whole. Raises
+    ``ValueError``, the error that sends the caller to the line parser, on
+    a line of nothing but commas and at the end of a file that holds only
+    blanks, before np.loadtxt sees the end (and warns of empty input).
+    """
+    blank = True
+    while True:
+        chunk = handle.read(_CHUNK_CHARS)
+        text += chunk
+        cut = text.rfind("\n") + 1 if chunk else len(text)
+        lines, text = text[:cut], text[cut:]
+        if _COMMAS_ONLY.search("\n" + lines):
+            raise ValueError("a line of nothing but commas")
+        blank = blank and (not lines or lines.isspace())
+        yield from lines.replace(",", " ").split("\n")
+        if not chunk:
+            if blank:
+                raise ValueError("no data")
+            return
+
+
 def _read_numeric_rows(path) -> np.ndarray:
     """Parse a numeric table whose cells are separated by commas and/or whitespace.
 
     Blank lines are skipped, and so is a first line that does not parse (a
     header). A file that is not UTF-8 text is rejected. One C-level
-    ``np.loadtxt`` pass reads well-formed files; any other file goes through
-    :func:`_read_numeric_lines`, which gives the same values or says what is
-    wrong.
+    ``np.loadtxt`` pass, fed the file in chunks, reads well-formed files;
+    any other file goes through :func:`_read_numeric_lines`, which gives
+    the same values or says what is wrong.
     """
     try:
         with open(path, "r", encoding="utf-8-sig") as handle:
-            text = handle.read()
+            first = handle.readline()
+            try:
+                lines = _loadtxt_lines(handle, first if _parses(first) else "")
+                return np.loadtxt(lines, ndmin=2, comments=None)
+            except UnicodeDecodeError:  # a ValueError too, but reported below
+                raise
+            except ValueError:
+                while handle.read(_CHUNK_CHARS):  # a file that is not text says so first
+                    pass
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not a text file ({exc.reason})") from exc
-    first, _, rest = text.partition("\n")
-    body = text if _parses(first) else rest
-    if body.strip() and not _COMMAS_ONLY.search("\n" + body):
-        try:
-            return np.loadtxt(io.StringIO(body.replace(",", " ")), ndmin=2, comments=None)
-        except ValueError:
-            pass
     return _read_numeric_lines(path)
 
 

@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from mesa import _io, baseline, selection, spectrum, synth, validate
-from mesa.forecast import forecast as run_forecast, forecast_summary, quantile_label
+from mesa.forecast import forecast as run_forecast, forecast_summary, quantile_label, summary_levels
 from mesa.core import (
     ArModel,
     Criterion,
@@ -195,12 +195,13 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_forecast(args) -> int:
-    model = _load_model(args.model)
-    seed_ts = _io.read_timeseries(args.infile, dt=args.dt, binary=args.binary)
     try:
         levels = tuple(float(q) for q in args.quantiles.split(",") if q.strip())
     except ValueError:
         raise ValidationError(f"bad --quantiles value: {args.quantiles!r}")
+    levels = summary_levels(levels, args.n_realizations)  # before any input is read
+    model = _load_model(args.model)
+    seed_ts = _io.read_timeseries(args.infile, dt=args.dt, binary=args.binary)
     ens = run_forecast(model, seed_ts, args.horizon, args.n_realizations,
                        args.seed, args.noise_scale)
     summary = forecast_summary(ens, levels)

@@ -57,6 +57,16 @@ class Criterion(enum.Enum):
 
 
 def _readonly(values, dtype=float) -> np.ndarray:
+    """``values`` as a read-only array of ``dtype``.
+
+    An array of ``dtype`` that is already read-only and owns its memory is
+    kept as it is, so a producer can hand over a large buffer without a
+    copy. Anything else is copied: a writable array, or a read-only view
+    of one, could still change under the caller.
+    """
+    if (type(values) is np.ndarray and values.dtype == dtype and values.base is None
+            and not values.flags.writeable):
+        return values
     arr = np.array(values, dtype=dtype)
     arr.flags.writeable = False
     return arr

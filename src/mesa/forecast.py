@@ -30,8 +30,9 @@ from mesa.core import ArModel, ForecastEnsemble, TimeSeries, ValidationError
 TOLERANCE = 1e-6
 """Largest rounding error allowed on a forecast step, in units of its spread sigma_t."""
 
-# Members are convolved a block at a time, each block at most this many FFT
-# samples (512 kB of float64), so the temporaries stay small whatever R is.
+# Members are convolved, and steps summarized, a block at a time, each block
+# at most this many samples (512 kB of float64), so the temporaries stay
+# small whatever R is.
 _BLOCK_SAMPLES = 1 << 16
 
 
@@ -82,16 +83,16 @@ def forecast(
         make_rng(rng_seed, i).standard_normal(horizon, out=out[i])
     if not m:  # order 0: a member is its scaled noise
         out *= scale
-        return ForecastEnsemble(realizations=out)
-
-    nfft = 1 << (2 * horizon - 2).bit_length()  # >= 2H-1: no circular wrap into steps 0..H-1
-    kernel = np.fft.rfft(h, nfft) * scale
-    block = max(1, _BLOCK_SAMPLES // nfft)
-    for i in range(0, n_realizations, block):
-        rows = out[i : i + block]
-        spectrum = np.fft.rfft(rows, nfft)
-        spectrum *= kernel
-        np.add(np.fft.irfft(spectrum, nfft)[:, :horizon], z, out=rows)
+    else:
+        nfft = 1 << (2 * horizon - 2).bit_length()  # >= 2H-1: no circular wrap into steps 0..H-1
+        kernel = np.fft.rfft(h, nfft) * scale
+        block = max(1, _BLOCK_SAMPLES // nfft)
+        for i in range(0, n_realizations, block):
+            rows = out[i : i + block]
+            spectrum = np.fft.rfft(rows, nfft)
+            spectrum *= kernel
+            np.add(np.fft.irfft(spectrum, nfft)[:, :horizon], z, out=rows)
+    out.flags.writeable = False  # sealed, so the ensemble keeps it without a copy
     return ForecastEnsemble(realizations=out)
 
 
@@ -134,16 +135,37 @@ def quantile_label(q: float) -> str:
     return f"q{digits[:2]}" + (f".{digits[2:]}" if digits[2:] else "")
 
 
-def forecast_summary(ens: ForecastEnsemble, quantiles=(0.05, 0.95)) -> ForecastSummary:
-    """Empirical per-step median and quantile band edges (linear interpolation)."""
-    if ens.n_realizations < 2:
+def summary_levels(quantiles, n_realizations: int) -> tuple:
+    """The quantile levels as floats, checked for a summary of ``n_realizations`` members.
+
+    Raises ``ValidationError`` for fewer than two members, or for levels
+    that are repeated or lie outside (0, 1).
+    """
+    if n_realizations < 2:
         raise ValidationError("need at least two realizations to summarize")
     levels = tuple(float(q) for q in quantiles)
     if any(not 0.0 < q < 1.0 for q in levels):
         raise ValidationError("quantiles must lie strictly inside (0, 1)")
     if len(set(levels)) != len(levels):
         raise ValidationError(f"quantile levels must be distinct, got {levels}")
-    table = np.quantile(ens.realizations, (0.5, *levels), axis=0)
+    return levels
+
+
+def forecast_summary(ens: ForecastEnsemble, quantiles=(0.05, 0.95)) -> ForecastSummary:
+    """Empirical per-step median and quantile band edges (linear interpolation).
+
+    Steps are summarized a block at a time, each block at most
+    ``_BLOCK_SAMPLES`` values, so only a block of the ensemble is ever
+    copied. Every step's column is summarized on its own, so the table is
+    the same as one ``np.quantile`` over the whole matrix.
+    """
+    levels = summary_levels(quantiles, ens.n_realizations)
+    r = ens.realizations
+    probs = (0.5, *levels)
+    table = np.empty((len(probs), ens.horizon))
+    width = max(1, _BLOCK_SAMPLES // ens.n_realizations)
+    for j in range(0, ens.horizon, width):
+        table[:, j : j + width] = np.quantile(r[:, j : j + width], probs, axis=0)
     return ForecastSummary(
         steps=np.arange(1, ens.horizon + 1),
         median=table[0],

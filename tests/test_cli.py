@@ -260,6 +260,27 @@ def test_forecast_quantile_columns(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--quantiles", "0.05,1.5"], "strictly inside (0, 1)"),
+    (["--quantiles", "0.05,0.05"], "must be distinct"),
+    (["--n-realizations", "1"], "at least two realizations"),
+])
+def test_forecast_checks_the_summary_before_forecasting(tmp_path, monkeypatch, capsys, flags, message):
+    def no_forecast(*args, **kwargs):
+        raise AssertionError("the ensemble was built before the summary request was checked")
+
+    monkeypatch.setattr("mesa.cli.run_forecast", no_forecast)
+    mpath = tmp_path / "model.json"
+    mpath.write_text(json.dumps(ArModel(a=[1.0, -0.5], p_m=1.0, dt=1.0).to_dict()))
+    data = tmp_path / "seed.csv"
+    data.write_text("0.0\n1.0\n")
+    out = tmp_path / "fc.csv"
+    assert run(["forecast", "--model", mpath, "--in", data, "--dt", "1.0", "--horizon", "3",
+                "--seed", "9", "--out", out, *flags]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_forecast_requires_seed(tmp_path):
     with pytest.raises(SystemExit) as err:
         run(["forecast", "--model", tmp_path / "m.json", "--in", tmp_path / "d.csv",

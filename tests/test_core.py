@@ -131,6 +131,22 @@ def test_forecast_ensemble_invariants():
         ForecastEnsemble(realizations=np.full((2, 2), np.nan))
 
 
+def test_forecast_ensemble_owns_its_matrix():
+    # a writable array, or a read-only view of one, is copied
+    writable = np.zeros((2, 3))
+    view = writable[:, :]
+    view.flags.writeable = False
+    ensembles = [ForecastEnsemble(realizations=writable), ForecastEnsemble(realizations=view)]
+    writable[0, 0] = 5.0
+    for ens in ensembles:
+        assert ens.realizations[0, 0] == 0.0
+        assert not ens.realizations.flags.writeable
+    # a read-only array that owns its memory is kept as it is
+    sealed = np.ones((2, 3))
+    sealed.flags.writeable = False
+    assert ForecastEnsemble(realizations=sealed).realizations is sealed
+
+
 def test_json_roundtrips_are_exact():
     # ArModel round-trips (the CLI writes and reads it); OrderSelection is written only
     m = ArModel(a=[1.0, -np.pi / 7], p_m=np.e / 11, dt=0.001)

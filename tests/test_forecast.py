@@ -1,12 +1,13 @@
 """Conditional forecasting: recursion, determinism, calibration."""
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from mesa._rng import make_rng
 from mesa.cli import main
-from mesa.core import ArModel, TimeSeries, ValidationError
+from mesa.core import ArModel, ForecastEnsemble, TimeSeries, ValidationError
 from mesa.forecast import TOLERANCE, forecast, forecast_summary, rounding_bound
 from mesa.synth import generate_ar, random_ar_model
 
@@ -181,8 +182,6 @@ def test_one_step_residual_variance_matches_power():
 
 def test_summary_identical_realizations():
     ens_matrix = np.tile([1.5, 2.5, 3.5], (4, 1))
-    from mesa.core import ForecastEnsemble
-
     ens = ForecastEnsemble(realizations=ens_matrix)
     s = forecast_summary(ens, (0.05, 0.95))
     np.testing.assert_array_equal(s.median, [1.5, 2.5, 3.5])
@@ -191,8 +190,6 @@ def test_summary_identical_realizations():
 
 
 def test_summary_two_realizations_interpolates():
-    from mesa.core import ForecastEnsemble
-
     ens = ForecastEnsemble(realizations=np.array([[0.0, 0.0], [1.0, 1.0]]))
     s = forecast_summary(ens, (0.25,))
     np.testing.assert_allclose(s.median, [0.5, 0.5])
@@ -200,8 +197,6 @@ def test_summary_two_realizations_interpolates():
 
 
 def test_summary_validation():
-    from mesa.core import ForecastEnsemble
-
     single = ForecastEnsemble(realizations=np.zeros((1, 3)))
     with pytest.raises(ValidationError):
         forecast_summary(single)
@@ -211,8 +206,6 @@ def test_summary_validation():
 
 
 def test_summary_column_names_are_distinct():
-    from mesa.core import ForecastEnsemble
-
     ens = ForecastEnsemble(realizations=np.zeros((2, 3)))
     assert forecast_summary(ens).column_names() == ["step", "median", "q05", "q95"]
     s = forecast_summary(ens, (0.001, 0.05, 0.051, 0.07, 0.5, 0.999))
@@ -239,3 +232,57 @@ def test_band_coverage_calibrated_at_scale():
     fresh = forecast(model, data, 20, 10_000, rng_seed=43).realizations
     inside = (fresh >= band.quantiles[0]) & (fresh <= band.quantiles[1])
     assert inside.mean() == pytest.approx(0.90, abs=0.02)
+
+
+# --- one R x H matrix from the draw to the summary --------------------------
+
+def traced_peak(fn) -> int:
+    """Peak bytes traced while ``fn()`` runs, after one warm-up call."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("n_realizations, horizon", [
+    (2, 1),
+    (1000, 200),    # a block is 65 steps, so the last block is short
+    (70_000, 3),    # more members than a block holds: one step per block
+])
+@pytest.mark.parametrize("levels", [(), (0.05, 0.95), (0.001, 0.25, 0.5, 0.999)])
+def test_summary_blocks_equal_one_quantile_call(n_realizations, horizon, levels):
+    rng = np.random.default_rng(n_realizations + horizon)
+    r = rng.standard_normal((n_realizations, horizon)).cumsum(axis=1)
+    s = forecast_summary(ForecastEnsemble(realizations=r), levels)
+    table = np.quantile(r, (0.5, *levels), axis=0)
+    assert s.median.tobytes() == table[0].tobytes()
+    assert s.quantiles.shape == (len(levels), horizon)
+    assert s.quantiles.tobytes() == table[1:].tobytes()
+
+
+MEMBERS = STEPS = 1000
+MATRIX_BYTES = MEMBERS * STEPS * 8
+
+
+def test_forecast_peak_is_one_matrix():
+    model = ArModel(a=[1.0, -0.6, 0.25], p_m=1.0, dt=1.0)
+    seed = TimeSeries(np.random.default_rng(3).standard_normal(50), dt=1.0)
+    peak = traced_peak(lambda: forecast(model, seed, STEPS, MEMBERS, rng_seed=4))
+    assert peak < 1.25 * MATRIX_BYTES
+
+
+def test_summary_copies_a_block_not_the_matrix():
+    ens = ForecastEnsemble(realizations=np.random.default_rng(5).standard_normal((MEMBERS, STEPS)))
+    peak = traced_peak(lambda: forecast_summary(ens, (0.05, 0.95)))
+    assert peak < 2_000_000  # 1/4 of the matrix
+
+
+def test_forecast_hands_over_a_sealed_matrix():
+    model = ArModel(a=[1.0, -0.5], p_m=1.0, dt=1.0)
+    r = forecast(model, TimeSeries([0.0, 1.0], dt=1.0), 4, 3, rng_seed=0).realizations
+    assert not r.flags.writeable
+    with pytest.raises(ValueError):
+        r[0, 0] = 1.0

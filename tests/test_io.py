@@ -1,8 +1,17 @@
 """CSV input: what parses, to which values, and how a bad file is reported."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from mesa._io import _read_numeric_lines, _read_numeric_rows, fmt, read_tabulated_psd, read_timeseries
+from mesa._io import (
+    _CHUNK_CHARS,
+    _read_numeric_lines,
+    _read_numeric_rows,
+    fmt,
+    read_tabulated_psd,
+    read_timeseries,
+)
 from mesa.cli import main
 from mesa.core import ValidationError
 
@@ -128,3 +137,54 @@ def test_fast_reader_agrees_with_line_reader_on_random_files(tmp_path):
         text = "".join(line + ends[int(rng.integers(len(ends)))] for line in lines)
         path.write_bytes(text.encode())
         assert outcome(_read_numeric_rows, path) == outcome(_read_numeric_lines, path), repr(text)
+
+
+# Files longer than one read chunk: lines and a CRLF pair cut by a chunk's
+# edge, and, found only after the first chunk, what sends the reader to the
+# line loop.
+ROWS_PAST_ONE_CHUNK = _CHUNK_CHARS // 4 + 7
+LONG_FILES = {
+    "header_two_columns": "t,x\n" + "0.25,-1.5\n" * ROWS_PAST_ONE_CHUNK,
+    "crlf": "0.125\r\n" * ROWS_PAST_ONE_CHUNK,
+    "blank_then_data": "\n" * _CHUNK_CHARS + " \n" * 3 + "1.5\n2.5",
+    "blank_only": "\n" * _CHUNK_CHARS + " \t\n" * 3,
+    "commas_only_line_late": "1,2\n" * ROWS_PAST_ONE_CHUNK + ",\n3,4\n",
+    "bad_row_late": "1.5\n" * ROWS_PAST_ONE_CHUNK + "abc\n2.5\n",
+    "lines_longer_than_a_chunk": " ".join(["1.25"] * _CHUNK_CHARS) + "\n" + " ".join(["2.5"] * _CHUNK_CHARS),
+}
+
+
+@pytest.mark.parametrize("name", LONG_FILES)
+def test_reader_agrees_with_line_reader_across_chunks(tmp_path, name):
+    path = tmp_path / "long.csv"
+    path.write_bytes(LONG_FILES[name].encode())
+
+    def outcome(reader):
+        try:
+            data = reader(path)
+        except ValidationError as exc:
+            return str(exc)
+        return data.shape, data.tobytes()
+
+    assert outcome(_read_numeric_rows) == outcome(_read_numeric_lines)
+
+
+def test_undecodable_bytes_are_reported_before_a_bad_row(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"1.0\nabc\n" + b"2.0\n" * _CHUNK_CHARS + b"\xff\n")
+    with pytest.raises(ValidationError, match="not a text file"):
+        _read_numeric_rows(path)
+
+
+def test_reader_memory_does_not_grow_with_the_text(tmp_path):
+    path = tmp_path / "big.csv"
+    values = np.random.default_rng(7).standard_normal(200_000)
+    path.write_text("\n".join(fmt(v) for v in values) + "\n")  # 4.6 MB of text
+    tracemalloc.start()
+    try:
+        data = _read_numeric_rows(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert data[:, 0].tobytes() == values.tobytes()
+    assert peak < 4_000_000  # the 1.6 MB of doubles, not the text
