@@ -23,11 +23,7 @@ from mesa.core import (
 )
 from mesa.estimator import fit, reflection_coefficients
 from mesa.forecast import ForecastSummary, forecast, forecast_summary
-from mesa.selection import (
-    loss_fpe,
-    max_order,
-    select_order,
-)
+from mesa.selection import max_order, select_order
 from mesa.spectrum import (
     frequency_grid,
     psd,

@@ -18,10 +18,6 @@ def tukey_window(n: int, alpha: float) -> np.ndarray:
         raise ValidationError("window length must be >= 1")
     if not 0.0 <= alpha <= 1.0:
         raise ValidationError(f"alpha must be in [0, 1], got {alpha}")
-    if n == 1:
-        return np.ones(1)
-    if alpha == 0.0:
-        return np.ones(n)
     i = np.arange(n, dtype=np.float64)
     edge = alpha * (n - 1) / 2.0
     w = np.ones(n)

@@ -56,20 +56,28 @@ class Criterion(enum.Enum):
     OBD = "obd"
 
 
-def _readonly(values, dtype=float) -> np.ndarray:
-    """``values`` as a read-only array of ``dtype``.
+def _readonly(values) -> np.ndarray:
+    """``values`` as a read-only float64 array.
 
-    An array of ``dtype`` that is already read-only and owns its memory is
+    A float64 array that is already read-only and owns its memory is
     kept as it is, so a producer can hand over a large buffer without a
     copy. Anything else is copied: a writable array, or a read-only view
     of one, could still change under the caller.
     """
-    if (type(values) is np.ndarray and values.dtype == dtype and values.base is None
+    if (type(values) is np.ndarray and values.dtype == np.float64 and values.base is None
             and not values.flags.writeable):
         return values
-    arr = np.array(values, dtype=dtype)
+    arr = np.array(values, dtype=np.float64)
     arr.flags.writeable = False
     return arr
+
+
+def _finite(values: np.ndarray) -> bool:
+    """Whether a non-empty array is all finite, without a boolean array of its size.
+
+    Both reductions propagate NaN.
+    """
+    return bool(np.isfinite(values.min()) and np.isfinite(values.max()))
 
 
 def _require(condition: bool, message: str) -> None:
@@ -111,7 +119,7 @@ class TimeSeries:
         _require(self.samples.ndim == 1, "samples must be one-dimensional")
         _require(self.samples.size >= 2, "need at least 2 samples")
         _require(np.isfinite(self.dt) and self.dt > 0, "dt must be finite and > 0")
-        _require(bool(np.isfinite(self.samples).all()), "samples must be finite (no NaN/Inf)")
+        _require(_finite(self.samples), "samples must be finite (no NaN/Inf)")
 
     def __len__(self) -> int:
         return int(self.samples.size)
@@ -140,7 +148,7 @@ class ArModel:
         object.__setattr__(self, "p_m", float(self.p_m))
         object.__setattr__(self, "dt", float(self.dt))
         _require(self.a.ndim == 1 and self.a.size >= 1, "a must be a non-empty vector")
-        _require(bool(np.isfinite(self.a).all()), "coefficients must be finite")
+        _require(_finite(self.a), "coefficients must be finite")
         _require(self.a[0] == 1.0, "a[0] must equal 1 exactly")
         _require(np.isfinite(self.p_m) and self.p_m >= 0, "p_m must be finite and >= 0")
         _require(np.isfinite(self.dt) and self.dt > 0, "dt must be finite and > 0")
@@ -192,7 +200,7 @@ class RecursionTrace:
         object.__setattr__(self, "dt", float(self.dt))
         _require(self.p.ndim == 1 and self.c.ndim == 1, "p and c must be vectors")
         _require(self.p.size == self.c.size + 1, "need len(p) == len(c) + 1")
-        _require(bool(np.isfinite(self.p).all()), "p must be finite")
+        _require(_finite(self.p), "p must be finite")
         _require(bool((self.p >= 0).all()), "prediction-error powers must be >= 0")
         _require(bool((np.abs(self.c) <= 1.0).all()), "reflection coefficients must satisfy |c| <= 1")
         # non-increasing up to roundoff slack
@@ -234,12 +242,11 @@ class SpectralDensity:
     def __post_init__(self):
         object.__setattr__(self, "freqs", _readonly(self.freqs))
         object.__setattr__(self, "values", _readonly(self.values))
-        if isinstance(self.sided, str):
-            object.__setattr__(self, "sided", Sided(self.sided))
+        object.__setattr__(self, "sided", Sided(self.sided))
         _require(self.freqs.ndim == 1 and self.freqs.size >= 1, "freqs must be a non-empty vector")
         _require(self.values.shape == self.freqs.shape, "freqs and values must have equal length")
-        _require(bool(np.isfinite(self.freqs).all()), "frequencies must be finite")
-        _require(bool(np.isfinite(self.values).all()), "PSD values must be finite")
+        _require(_finite(self.freqs), "frequencies must be finite")
+        _require(_finite(self.values), "PSD values must be finite")
         _require(bool((np.diff(self.freqs) > 0).all()), "frequencies must be strictly increasing")
         _require(bool((self.values >= 0).all()), "PSD values must be non-negative")
         if self.sided is Sided.ONE_SIDED:
@@ -264,8 +271,7 @@ class OrderSelection:
     early_stopped: bool = False
 
     def __post_init__(self):
-        if isinstance(self.criterion, str):
-            object.__setattr__(self, "criterion", Criterion(self.criterion))
+        object.__setattr__(self, "criterion", Criterion(self.criterion))
         object.__setattr__(self, "losses", _readonly(self.losses))
         object.__setattr__(self, "chosen_order", int(self.chosen_order))
         object.__setattr__(self, "early_stopped", bool(self.early_stopped))
@@ -297,7 +303,7 @@ class ForecastEnsemble:
         _require(self.realizations.ndim == 2, "realizations must be a 2-D matrix")
         _require(self.realizations.shape[0] >= 1, "need at least one realization")
         _require(self.realizations.shape[1] >= 1, "horizon must be >= 1")
-        _require(bool(np.isfinite(self.realizations).all()), "realizations must be finite")
+        _require(_finite(self.realizations), "realizations must be finite")
 
     @property
     def n_realizations(self) -> int:

@@ -166,8 +166,8 @@ def fit(
     With a ``criterion``, its order-selection scan runs as the orders are
     computed, and the recursion stops where the scan stops: the trace ends
     at the last order the scan read and holds the scan's result, which
-    ``select_order(trace, criterion)`` returns. It equals what
-    ``select_order`` gives on the full trace with the same ``patience``;
+    ``select_order(trace, criterion)`` returns. It equals the scan of the
+    full trace with the same ``patience`` (``scan_orders``);
     ``patience=None`` is ``default_patience(max_order, criterion)``.
     A ``DegenerateModelError`` is raised only for orders the recursion
     computes, and a loss undefined at every order raises

@@ -22,13 +22,6 @@ def max_order(n: int) -> int:
     return min(int(2 * n / math.log(2 * n)), n - 1)
 
 
-def loss_fpe(p_m: float, n: int, m: int) -> float:
-    """Final Prediction Error loss P_m (N+m+1)/(N-m-1)."""
-    if m >= n - 1:
-        raise UndefinedLossError(f"FPE undefined for m={m} with n={n}")
-    return p_m * (n + m + 1) / (n - m - 1)
-
-
 def default_patience(scan_max_order: int, criterion: Criterion | str) -> float:
     """Patience max(100, ceil(M/10)); ``math.inf``, a full scan, for ``cat-invsum``.
 
@@ -66,7 +59,7 @@ def _loss_sequence(orders, criterion: Criterion, n: int):
         for m, pm, _ in orders:
             if m >= n - 1:
                 return
-            yield m, loss_fpe(pm, n, m)
+            yield m, pm * (n + m + 1) / (n - m - 1)
     elif criterion is Criterion.CAT:
         # running sum keeps the scan O(1) per order
         acc = 0.0
@@ -152,32 +145,24 @@ def scan_orders(
     )
 
 
-def select_order(
-    trace: RecursionTrace,
-    criterion: Criterion | str,
-    patience: float | None = None,
-) -> OrderSelection:
+def select_order(trace: RecursionTrace, criterion: Criterion | str) -> OrderSelection:
     """Scan the trace's orders and pick the first minimum of the loss.
 
-    A trace that ``fit`` ran with this criterion holds its scan, which
-    ``patience=None`` returns. On any other trace ``patience=None`` is
-    ``default_patience(trace.max_order, criterion)``; pass ``math.inf`` for
-    a reproducible full sweep. A trace whose scan stopped the recursion
-    early cannot be scanned again, with another criterion or an explicit
-    patience: it lacks the orders another scan may read.
+    A trace that ``fit`` ran with this criterion holds its scan, which is
+    returned. Any other trace is scanned over every order it holds, unless
+    its own scan stopped the recursion early: then it lacks the orders
+    another scan may read, and ``ValidationError`` is raised.
     """
     criterion = Criterion(criterion)
     if trace.max_order < 1:
         raise ValidationError("trace must hold at least order 1")
     held = trace.selection
     if held is not None:
-        if held.criterion is criterion and patience is None:
+        if held.criterion is criterion:
             return held
         if held.early_stopped:
             raise ValidationError(
                 f"the recursion was stopped by its {held.criterion.value} scan; "
                 "fit without a criterion to scan it otherwise"
             )
-    if patience is None:
-        patience = default_patience(trace.max_order, criterion)
-    return scan_orders(trace.p[0], zip(trace.p[1:], trace.c), criterion, trace.n_samples, patience)
+    return scan_orders(trace.p[0], zip(trace.p[1:], trace.c), criterion, trace.n_samples, math.inf)

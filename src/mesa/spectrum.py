@@ -18,7 +18,9 @@ from mesa.core import (
     ValidationError,
 )
 
-_CHUNK = 4096
+# a block of the direct sum holds about this many complex phases, whatever
+# the order (one frequency's row at least)
+_BLOCK_SAMPLES = 1 << 16
 
 
 def frequency_grid(n_freqs: int, dt: float, sided: Sided | str = Sided.ONE_SIDED) -> np.ndarray:
@@ -53,10 +55,11 @@ def _denominator_fft(a: np.ndarray, n_pos: int) -> np.ndarray:
 def _denominator_direct(a: np.ndarray, freqs: np.ndarray, dt: float) -> np.ndarray:
     s = np.arange(a.size)
     out = np.empty(freqs.size)
-    for start in range(0, freqs.size, _CHUNK):
-        f = freqs[start : start + _CHUNK]
+    rows = max(1, _BLOCK_SAMPLES // a.size)
+    for start in range(0, freqs.size, rows):
+        f = freqs[start : start + rows]
         phases = np.exp(2j * np.pi * dt * np.outer(f, s))
-        out[start : start + _CHUNK] = np.abs(phases @ a) ** 2
+        out[start : start + rows] = np.abs(phases @ a) ** 2
     return out
 
 

@@ -37,8 +37,7 @@ class TabulatedPsd:
         values = np.asarray(self.values, dtype=np.float64)
         object.__setattr__(self, "freqs", freqs)
         object.__setattr__(self, "values", values)
-        if isinstance(self.interpolation, str):
-            object.__setattr__(self, "interpolation", Interpolation(self.interpolation))
+        object.__setattr__(self, "interpolation", Interpolation(self.interpolation))
         if freqs.ndim != 1 or freqs.size < 2:
             raise ValidationError("need at least two tabulation points")
         if values.shape != freqs.shape:

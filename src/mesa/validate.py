@@ -7,7 +7,6 @@ Both are deterministic given their seed.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,7 +161,7 @@ def run_order_recovery(
         model = random_ar_model(derive_seed(rng_seed, j, 0), p_min, p_max)
         ts = generate_ar(model, n_samples, rng_seed=derive_seed(rng_seed, j, 1))
         trace = fit(ts, m_max)
-        p_hat = {c.value: select_order(trace, c, math.inf).chosen_order for c in criteria}
+        p_hat = {c.value: select_order(trace, c).chosen_order for c in criteria}
         return OrderRecoveryRecord(index=j, p_true=model.order, p_hat=p_hat)
 
     return tuple(one(j) for j in range(n_models))

@@ -1,7 +1,7 @@
-"""Closed forms of the CAT, CAT (inverse sum) and OBD losses.
+"""Closed forms of the FPE, CAT, CAT (inverse sum) and OBD losses.
 
-``mesa.selection`` computes these losses only as running sums inside its
-order scan. The closed forms here evaluate one order directly and serve the
+``mesa.selection`` computes these losses only inside its order scan, the
+sums as running sums. The closed forms here evaluate one order directly and serve the
 tests as parity oracles for that scan.
 """
 import math
@@ -9,6 +9,13 @@ import math
 import numpy as np
 
 from mesa.core import UndefinedLossError
+
+
+def loss_fpe(p_m: float, n: int, m: int) -> float:
+    """Final Prediction Error loss P_m (N+m+1)/(N-m-1)."""
+    if m >= n - 1:
+        raise UndefinedLossError(f"FPE undefined for m={m} with n={n}")
+    return p_m * (n + m + 1) / (n - m - 1)
 
 
 def loss_cat(p, n: int, m: int) -> float:

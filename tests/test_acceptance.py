@@ -21,7 +21,7 @@ from mesa.baseline import tukey_window, welch_psd
 from mesa.core import ArModel, Criterion, Sided, SpectralDensity, TimeSeries
 from mesa.estimator import fit
 from mesa.forecast import forecast, forecast_summary
-from mesa.selection import loss_fpe, max_order, scan_orders, select_order
+from mesa.selection import max_order, scan_orders, select_order
 from mesa.spectrum import frequency_grid, psd, to_two_sided
 from mesa.synth import generate_ar, generate_from_psd
 from mesa.validate import relative_error_freq_avg, run_gaussian_experiment, run_order_recovery
@@ -357,10 +357,11 @@ def test_criterion_09_formula_values():
     # recomputed from the defining formula floor(2n/ln 2n); see ledger for
     # the 7246 typo in the stated value
     close(max_order(40960), 7240, "max_order(40960)")
-    close(loss_fpe(1.0, 100, 0), 101 / 99, "FPE(1,100,0)")
-    close(loss_fpe(1.0, 100, 1), 102 / 98, "FPE(1,100,1)")
-    # CAT and OBD as the order scan computes them; steps are (p_{k+1}, c_k)
+    # the losses as the order scan computes them; steps are (p_{k+1}, c_k)
     full = math.inf
+    fpe = scan_orders(1.0, [(1.0, 0.0)], Criterion.FPE, 100, full).losses
+    close(fpe[0], 101 / 99, "FPE(1,100,0)")
+    close(fpe[1], 102 / 98, "FPE(1,100,1)")
     cat = scan_orders(np.nan, [(1.0, 0.0), (1.0, 0.0)], Criterion.CAT, 100, full).losses
     close(cat[1], -0.9801, "CAT m=1")
     close(cat[2], -0.9603, "CAT m=2")

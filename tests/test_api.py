@@ -27,7 +27,6 @@ PUBLIC_NAMES = [
     "frequency_grid",
     "generate_ar",
     "generate_from_psd",
-    "loss_fpe",
     "max_order",
     "psd",
     "random_ar_model",
@@ -68,7 +67,6 @@ PUBLIC_SIGNATURES = {
     "frequency_grid": "n_freqs, dt, sided=",
     "generate_ar": "model, n, burn_in=, *, rng_seed",
     "generate_from_psd": "target, n, dt, rng_seed",
-    "loss_fpe": "p_m, n, m",
     "max_order": "n",
     "psd": "model, freqs=",
     "random_ar_model": "rng_seed, p_min=, p_max=",
@@ -77,7 +75,7 @@ PUBLIC_SIGNATURES = {
     "relative_error_freq_avg": "estimate, truth",
     "run_gaussian_experiment": "n_realizations, n_samples, criterion, rng_seed, mu=, sigma=, dt=, n_freqs=",
     "run_order_recovery": "n_models, p_min, p_max, n_samples, rng_seed",
-    "select_order": "trace, criterion, patience=",
+    "select_order": "trace, criterion",
     "to_one_sided": "sd",
     "to_two_sided": "sd",
     "tukey_window": "n, alpha",

@@ -32,7 +32,8 @@ def test_tukey_n8_alpha_half():
     assert np.all((0.0 <= w) & (w <= 1.0))
 
 
-@pytest.mark.parametrize("n,alpha", [(8, 0.5), (64, 0.4), (65, 0.25), (7, 1.0), (100, 0.9)])
+@pytest.mark.parametrize("n,alpha", [(8, 0.5), (64, 0.4), (65, 0.25), (7, 1.0), (100, 0.9),
+                                     (1, 0.0), (1, 0.5), (1, 1.0)])
 def test_tukey_matches_scipy(n, alpha):
     np.testing.assert_allclose(tukey_window(n, alpha), scipy_tukey(n, alpha, sym=True),
                                atol=1e-12)

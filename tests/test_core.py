@@ -1,5 +1,7 @@
 """Domain type invariants and JSON round-trips."""
 import json
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -145,6 +147,48 @@ def test_forecast_ensemble_owns_its_matrix():
     sealed = np.ones((2, 3))
     sealed.flags.writeable = False
     assert ForecastEnsemble(realizations=sealed).realizations is sealed
+
+
+# a valid array for each checked field, and the message its non-finite values raise
+FINITE_CHECKS = {
+    "samples": (np.arange(5.0), lambda v: TimeSeries(samples=v, dt=1.0),
+                "samples must be finite (no NaN/Inf)"),
+    "a": (np.array([1.0, 0.5, 0.25]), lambda v: ArModel(a=v, p_m=1.0, dt=1.0),
+          "coefficients must be finite"),
+    "p": (np.array([1.0, 0.5, 0.25]),
+          lambda v: RecursionTrace(p=v, c=[0.5, 0.5], dt=1.0, n_samples=100), "p must be finite"),
+    "freqs": (np.arange(5.0), lambda v: SpectralDensity(freqs=v, values=np.ones(5), sided="one_sided"),
+              "frequencies must be finite"),
+    "values": (np.ones(5), lambda v: SpectralDensity(freqs=np.arange(5.0), values=v, sided="one_sided"),
+               "PSD values must be finite"),
+    "realizations": (np.zeros((3, 5)), lambda v: ForecastEnsemble(realizations=v),
+                     "realizations must be finite"),
+}
+
+
+@pytest.mark.parametrize("field", FINITE_CHECKS)
+@pytest.mark.parametrize("position", ["first", "middle", "last"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+def test_non_finite_values_rejected_anywhere(field, position, bad):
+    valid, build, message = FINITE_CHECKS[field]
+    build(valid)
+    values = valid.copy()
+    values.flat[{"first": 0, "middle": values.size // 2, "last": -1}[position]] = bad
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        build(values)
+
+
+def test_forecast_ensemble_checks_finiteness_without_a_mask():
+    sealed = np.zeros((1000, 1000))
+    sealed.flags.writeable = False
+    tracemalloc.start()
+    try:
+        ForecastEnsemble(realizations=sealed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a boolean mask of the matrix alone would take 1 MB
+    assert peak < 100_000
 
 
 def test_json_roundtrips_are_exact():

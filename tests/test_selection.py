@@ -17,14 +17,13 @@ from mesa.core import (
 from mesa.estimator import FAST_BURG_MIN_N, fit
 from mesa.selection import (
     default_patience,
-    loss_fpe,
     max_order,
     scan_orders,
     select_order,
 )
 from mesa.synth import generate_ar, generate_from_psd, random_ar_model
 
-from loss_oracles import loss_cat, loss_cat_inverse_sum, loss_obd
+from loss_oracles import loss_cat, loss_cat_inverse_sum, loss_fpe, loss_obd
 
 
 def make_trace(p, c, n):
@@ -56,11 +55,14 @@ def test_max_order_never_exceeds_n_minus_1():
 # --- losses -------------------------------------------------------------------
 
 def test_fpe_hand_values():
-    assert loss_fpe(1.0, 100, 0) == pytest.approx(101 / 99, abs=1e-12)
-    assert loss_fpe(1.0, 100, 1) == pytest.approx(102 / 98, abs=1e-12)
-    assert loss_fpe(0.0, 100, 7) == 0.0
+    losses = scan([1.0, 1.0], "fpe", 100).losses
+    assert losses[0] == pytest.approx(101 / 99, abs=1e-12)
+    assert losses[1] == pytest.approx(102 / 98, abs=1e-12)
+    assert scan(np.r_[np.ones(7), 0.0], "fpe", 100).losses[7] == 0.0
+    # the loss is undefined from order N-1 on, where the scan ends
+    assert scan(np.ones(100), "fpe", 100).losses.size == 99
     with pytest.raises(UndefinedLossError):
-        loss_fpe(1.0, 100, 99)
+        scan([1.0], "fpe", 1)
 
 
 def test_cat_hand_values():
@@ -103,18 +105,19 @@ def test_cat_scans_end_before_a_subnormal_power(criterion):
 
 
 @pytest.mark.parametrize("criterion,oracle", [
+    ("fpe", lambda trace, n, m: loss_fpe(trace.p[m], n, m)),
     ("cat", lambda trace, n, m: loss_cat(trace.p, n, m)),
     ("cat-invsum", lambda trace, n, m: loss_cat_inverse_sum(trace.p, n, m)),
     ("obd", lambda trace, n, m: loss_obd(trace.p, trace.coefficients(m), n, m)),
-], ids=["cat", "cat-invsum", "obd"])
+], ids=["fpe", "cat", "cat-invsum", "obd"])
 def test_scan_matches_direct_loss(criterion, oracle):
     # the scan's running sums (and OBD's replayed coefficient vectors) must
     # match the closed form at every order
     x = np.random.default_rng(8).standard_normal(1000)
     trace = fit(TimeSeries(x, dt=1.0), 40)
-    sel = select_order(trace, criterion, math.inf)
+    sel = select_order(trace, criterion)
     assert sel.losses.size == 41
-    first = 0 if criterion == "obd" else 1
+    first = 1 if criterion.startswith("cat") else 0
     assert np.isnan(sel.losses[:first]).all()
     for m in range(first, 41):
         assert sel.losses[m] == pytest.approx(oracle(trace, 1000, m), rel=1e-12)
@@ -145,7 +148,7 @@ def test_obd_hand_values():
 def test_select_picks_first_minimum():
     # power drops hard at order 1 then barely improves: FPE must pick 1
     trace = make_trace(p=[4.0, 1.0, 0.999], c=[np.sqrt(0.75), np.sqrt(1 - 0.999)], n=1000)
-    sel = select_order(trace, "fpe", math.inf)
+    sel = select_order(trace, "fpe")
     assert sel.chosen_order == 1
     assert sel.chosen_order == int(np.nanargmin(sel.losses))
 
@@ -157,7 +160,7 @@ def test_select_white_noise_picks_small_orders():
     for seed in range(5):
         x = np.random.default_rng(seed).standard_normal(20_000)
         trace = fit(TimeSeries(x, dt=1.0), 64)
-        sel = select_order(trace, Criterion.FPE, math.inf)
+        sel = select_order(trace, Criterion.FPE)
         orders.append(sel.chosen_order)
         assert sel.losses[sel.chosen_order] == pytest.approx(sel.losses[0], rel=5e-3)
     assert np.median(orders) == 0
@@ -168,7 +171,7 @@ def test_fpe_constant_power_is_increasing_in_order():
     n = 500
     p = np.full(21, 2.0)
     trace = make_trace(p, np.zeros(20), n)
-    sel = select_order(trace, "fpe", math.inf)
+    sel = select_order(trace, "fpe")
     assert sel.chosen_order == 0
     assert np.all(np.diff(sel.losses) > 0)
 
@@ -176,7 +179,7 @@ def test_fpe_constant_power_is_increasing_in_order():
 def test_cat_scan_starts_at_order_one():
     x = np.random.default_rng(2).standard_normal(5000)
     trace = fit(TimeSeries(x, dt=1.0), 32)
-    sel = select_order(trace, "cat", math.inf)
+    sel = select_order(trace, "cat")
     assert np.isnan(sel.losses[0])
     assert sel.chosen_order >= 1
 
@@ -186,16 +189,15 @@ def test_scaling_data_leaves_fpe_argmin_unchanged():
     t1 = fit(TimeSeries(x, dt=1.0), 40)
     t2 = fit(TimeSeries(5.0 * x, dt=1.0), 40)
     for crit in ("fpe", "cat", "cat-invsum"):
-        assert select_order(t1, crit, math.inf).chosen_order == \
-            select_order(t2, crit, math.inf).chosen_order
+        assert select_order(t1, crit).chosen_order == select_order(t2, crit).chosen_order
 
 
 def test_early_stop_with_large_patience_matches_full_scan():
     x = np.random.default_rng(4).standard_normal(3000)
     trace = fit(TimeSeries(x, dt=1.0), 100)
     for crit in Criterion:
-        full = select_order(trace, crit, math.inf)
-        patient = select_order(trace, crit, 100)
+        full = select_order(trace, crit)
+        patient = scan(trace.p, crit, 3000, trace.c, patience=100)
         assert full.chosen_order == patient.chosen_order
         assert not patient.early_stopped or patient.chosen_order == full.chosen_order
 
@@ -203,7 +205,7 @@ def test_early_stop_with_large_patience_matches_full_scan():
 def test_early_stop_truncates_scan():
     x = np.random.default_rng(5).standard_normal(3000)
     trace = fit(TimeSeries(x, dt=1.0), 200)
-    sel = select_order(trace, "fpe", 10)
+    sel = scan(trace.p, "fpe", 3000, trace.c, patience=10)
     assert sel.early_stopped
     assert sel.losses.size < 201
 
@@ -239,9 +241,23 @@ def test_cat_inverse_sum_defaults_to_full_scan():
     assert default_patience(5000, "cat-invsum") == math.inf
     assert default_patience(5000, Criterion.CAT_INVSUM) == math.inf
     x = np.random.default_rng(9).standard_normal(2000)
-    trace = fit(TimeSeries(x, dt=1.0), 300)
-    sel = select_order(trace, "cat-invsum")
+    sel = fit(TimeSeries(x, dt=1.0), 300, criterion="cat-invsum").selection
     assert not sel.early_stopped and sel.losses.size == 301
+
+
+@pytest.mark.parametrize("crit", [c.value for c in Criterion])
+def test_select_order_scans_every_order_of_an_unstopped_trace(crit):
+    ts = TimeSeries(np.random.default_rng(10).standard_normal(3000), dt=1.0)
+    bare = fit(ts, 300)
+    expected = scan(bare.p, crit, 3000, bare.c)
+    # on white noise a default patience of 100 would stop well before order 300
+    assert not expected.early_stopped and expected.losses.size == 301
+    assert select_order(bare, crit).to_dict() == expected.to_dict()
+    # a trace holding another criterion's scan, read to the end, is scanned in full too
+    other = next(c for c in Criterion if c.value != crit)
+    held = fit(ts, 300, criterion=other, patience=math.inf)
+    assert held.selection.criterion is other and not held.selection.early_stopped
+    assert select_order(held, crit).to_dict() == expected.to_dict()
 
 
 # --- scan inside the recursion ----------------------------------------------------
@@ -274,18 +290,18 @@ def parity_input(name, n=PARITY_NS[0]):
     return ts, fit(ts, max_order(n))
 
 
-@pytest.mark.parametrize("scan", ["default", "full"])
+@pytest.mark.parametrize("stop", ["default", "full"])
 @pytest.mark.parametrize("crit", [c.value for c in Criterion])
 @pytest.mark.parametrize("name,n", [
     pytest.param(name, n, id=name if n == PARITY_NS[0] else f"{name}-n{n}")
     for n in PARITY_NS for name in ("white", "three-peak", "near-unit-circle")
 ])
-def test_stopped_fit_matches_full_fit(name, n, crit, scan):
+def test_stopped_fit_matches_full_fit(name, n, crit, stop):
     ts, full = parity_input(name, n)
     m_max = full.max_order
-    patience = default_patience(m_max, crit) if scan == "default" else math.inf
-    expected = select_order(full, crit, patience)
-    stopped = fit(ts, m_max, criterion=crit, patience=None if scan == "default" else patience)
+    patience = default_patience(m_max, crit) if stop == "default" else math.inf
+    expected = scan(full.p, crit, n, full.c, patience)
+    stopped = fit(ts, m_max, criterion=crit, patience=None if stop == "default" else patience)
     got = select_order(stopped, crit)
     assert got.to_dict() == expected.to_dict()
     # the scan that stopped the recursion is the one select_order returns
@@ -304,11 +320,8 @@ def test_stopped_trace_rejects_another_scan():
     ts, full = parity_input("white")
     stopped = fit(ts, full.max_order, criterion="fpe")
     assert stopped.selection.early_stopped
-    # an explicit patience asks for a new scan, even the one the fit ran
-    m_max = full.max_order
-    for crit, patience in (("obd", None), ("fpe", math.inf), ("fpe", default_patience(m_max, "fpe"))):
-        with pytest.raises(ValidationError):
-            select_order(stopped, crit, patience)
+    with pytest.raises(ValidationError):
+        select_order(stopped, "obd")
     # a recursion its scan read to the end can be scanned again
     whole = fit(ts, 300, criterion="fpe", patience=math.inf)
     expected = select_order(fit(ts, 300), "obd")

@@ -1,4 +1,6 @@
 """MESA PSD evaluation and the autocorrelation constraint."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -110,6 +112,21 @@ def test_psd_fast_path_on_grid_coarser_than_order(n_freqs, sided):
     model = fit(TimeSeries(x, dt=0.1), 24).model(24)
     grid = frequency_grid(n_freqs, 0.1, sided)
     np.testing.assert_allclose(psd(model, grid).values, direct_psd_oracle(model, grid), rtol=1e-11)
+
+
+def test_direct_route_memory_is_bounded_at_high_order():
+    rng = np.random.default_rng(4)
+    model = ArModel(a=np.r_[1.0, 1e-3 * rng.standard_normal(1024)], p_m=1.0, dt=1.0)
+    freqs = np.linspace(0.0, 0.49, 4096)  # stops short of Nyquist: the direct sum
+    tracemalloc.start()
+    try:
+        values = psd(model, freqs).values
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one block of 4096 frequencies at this order takes 134 MB of complex phases
+    assert peak < 10e6
+    np.testing.assert_allclose(values[::512], direct_psd_oracle(model, freqs[::512]), rtol=1e-12)
 
 
 def test_psd_default_grid():
