@@ -48,17 +48,15 @@ def _add_input_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--binary", action="store_true", help="input is raw little-endian float64")
 
 
-def _add_early_stop_args(p: argparse.ArgumentParser) -> None:
-    stop = p.add_mutually_exclusive_group()
-    stop.add_argument("--no-early-stop", action="store_true",
-                      help="scan every order up to the maximum (reproducibility flag)")
-    stop.add_argument("--patience", type=_positive_int, default=None,
-                      help="orders without a new minimum before the scan stops")
+def _patience(text: str) -> float:
+    """A positive integer, or ``inf`` for a full scan."""
+    return math.inf if text == "inf" else _positive_int(text)
 
 
-def _patience(args) -> float | None:
-    """The patience the flags ask for, or None for ``fit``'s default."""
-    return math.inf if args.no_early_stop else args.patience
+def _add_patience_arg(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--patience", type=_patience, default=None,
+                   help="orders without a new minimum before the scan stops; "
+                        "'inf' scans and computes every order")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -77,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-freqs", type=_positive_int, default=None, help="PSD grid resolution")
     p.add_argument("--sided", choices=[s.value for s in Sided], default="one_sided",
                    help="normalization of the emitted PSD")
-    _add_early_stop_args(p)
+    _add_patience_arg(p)
     p.add_argument("--out-prefix", required=True)
     p.set_defaults(func=cmd_estimate)
 
@@ -132,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--segment", type=_positive_int, default=1024)
     p.add_argument("--overlap", type=float, default=0.5)
     p.add_argument("--tukey", type=float, default=0.4)
-    _add_early_stop_args(p)
+    _add_patience_arg(p)
     p.add_argument("--out-prefix", required=True)
     p.set_defaults(func=cmd_compare)
 
@@ -181,7 +179,7 @@ def cmd_estimate(args) -> int:
     if args.demean:
         ts = TimeSeries(samples=ts.samples - ts.samples.mean(), dt=ts.dt)
     max_order = args.max_order if args.max_order is not None else selection.max_order(len(ts))
-    trace = fit(ts, max_order, criterion=args.criterion, patience=_patience(args))
+    trace = fit(ts, max_order, criterion=args.criterion, patience=args.patience)
     sel = selection.select_order(trace, args.criterion)
     model = trace.model(sel.chosen_order)
     grid = None
@@ -249,12 +247,15 @@ def cmd_compare(args) -> int:
     n = int(round(args.duration * args.fs))
     if n < 2 or n % 2:
         raise ValidationError(f"duration*fs must be an even sample count, got {n}")
+    if args.segment % 2:
+        # the one-sided folds take the last bin of the grid as Nyquist
+        raise ValidationError(f"--segment must be even, got {args.segment}")
     dt = 1.0 / args.fs
     target = _io.read_tabulated_psd(args.psd, args.psd_interp)
     ts = synth.generate_from_psd(target, n, dt, args.seed)
 
     max_order = selection.max_order(n)
-    trace = fit(ts, max_order, criterion=args.criterion, patience=_patience(args))
+    trace = fit(ts, max_order, criterion=args.criterion, patience=args.patience)
     sel = selection.select_order(trace, args.criterion)
     model = trace.model(sel.chosen_order)
 

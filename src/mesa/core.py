@@ -15,7 +15,7 @@ eagerly, raising :class:`ValidationError` naming the violated constraint.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -123,11 +123,6 @@ class TimeSeries:
 
     def __len__(self) -> int:
         return int(self.samples.size)
-
-    @property
-    def nyquist(self) -> float:
-        """Highest resolvable frequency, 1/(2*dt)."""
-        return 1.0 / (2.0 * self.dt)
 
 
 @dataclass(frozen=True, eq=False)
@@ -263,25 +258,21 @@ class OrderSelection:
     ``losses[m]`` is the loss at order m; NaN marks orders where the
     criterion is undefined (either CAT reading at order 0). The scan may
     stop before the trace's maximum order when early stopping triggered.
+    ``chosen_order`` is the first minimum of the defined losses.
     """
 
     criterion: Criterion
     losses: np.ndarray
-    chosen_order: int
     early_stopped: bool = False
+    chosen_order: int = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "criterion", Criterion(self.criterion))
         object.__setattr__(self, "losses", _readonly(self.losses))
-        object.__setattr__(self, "chosen_order", int(self.chosen_order))
         object.__setattr__(self, "early_stopped", bool(self.early_stopped))
         _require(self.losses.ndim == 1 and self.losses.size >= 1, "losses must be a non-empty vector")
-        finite = np.isfinite(self.losses)
-        _require(bool(finite.any()), "at least one order must have a defined loss")
-        _require(0 <= self.chosen_order < self.losses.size, "chosen_order outside evaluated range")
-        first_min = int(np.nanargmin(self.losses))
-        _require(self.chosen_order == first_min,
-                 "chosen_order must be the first minimum of the losses")
+        _require(bool(np.isfinite(self.losses).any()), "at least one order must have a defined loss")
+        object.__setattr__(self, "chosen_order", int(np.nanargmin(self.losses)))
 
     def to_dict(self) -> dict:
         return {

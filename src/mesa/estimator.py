@@ -1,9 +1,9 @@
 """AR model fitting via Burg's recursion.
 
 :func:`fit` runs Burg's recursion: the reflection coefficients come from
-the forward/backward prediction errors of the samples themselves, streamed
-one order at a time by :func:`burg_lattice` (the lattice on short series,
-Vos's fast Burg on long ones), into a :class:`~mesa.core.RecursionTrace`.
+the forward/backward prediction errors of the samples themselves, one order
+at a time (the lattice on short series, Vos's fast Burg on long ones), into
+a :class:`~mesa.core.RecursionTrace`.
 :func:`reflection_coefficients` inverts the order-update (step-down).
 """
 from __future__ import annotations
@@ -42,36 +42,12 @@ FAST_BURG_MIN_N = 16384
 FAST_BURG_GUARD_RATIO = 1e-6
 
 
-def burg_lattice(x: np.ndarray, max_order: int):
-    """Start Burg's recursion on ``x``, up to ``max_order``.
-
-    Returns ``(p0, steps)``: the order-0 prediction-error power and a
-    generator that yields ``(p_{k+1}, c_k)`` for k = 0..max_order-1, the
-    power after each order and the reflection coefficient that reached it.
-    An order is computed only when the generator is advanced, so a consumer
-    that stops reading stops the recursion.
-
-    Below ``FAST_BURG_MIN_N`` samples the generator runs the lattice on the
-    forward/backward prediction errors, O(N) per order; from there on it
-    runs Vos's fast Burg from one FFT autocorrelation, O(k) per order, until
-    an order would take the power below ``FAST_BURG_GUARD_RATIO * p0``
-    (or the error energy below that ratio of its order-0 value): the
-    lattice computes that order and the rest.
-    """
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    p0 = x @ x / x.shape[0]
-    if p0 == 0.0:
-        raise DegenerateModelError("zero-variance input")
-    if x.shape[0] >= FAST_BURG_MIN_N:
-        return p0, _fast_steps(x, p0, max_order)
-    return p0, _steps(x.copy(), x.copy(), p0, 0, max_order)
-
-
 def _steps(f: np.ndarray, b: np.ndarray, p, start: int, max_order: int):
     """The lattice from order ``start``, whose forward/backward errors are ``f`` and ``b``.
 
     ``f[i]`` and ``b[i]`` are the errors at sample ``start + i``; both
-    arrays are overwritten.
+    arrays are overwritten. Yields ``(p_{k+1}, c_k)`` for k = start..max_order-1,
+    computing an order only when the generator is advanced.
     """
     # errors live in preallocated buffers: b is updated in place, f
     # alternates between two buffers, so no order allocates
@@ -163,14 +139,14 @@ def fit(
     The trace holds the powers and reflection coefficients only; each
     order's coefficient vector is rebuilt from them on demand.
 
-    With a ``criterion``, its order-selection scan runs as the orders are
-    computed, and the recursion stops where the scan stops: the trace ends
-    at the last order the scan read and holds the scan's result, which
+    With a ``criterion``, its order-selection scan reads the orders as they
+    are computed, and the recursion stops where the scan stops: the trace
+    ends at the last order the scan read and holds the scan's result, which
     ``select_order(trace, criterion)`` returns. It equals the scan of the
     full trace with the same ``patience`` (``scan_orders``);
     ``patience=None`` is ``default_patience(max_order, criterion)``.
-    A ``DegenerateModelError`` is raised only for orders the recursion
-    computes, and a loss undefined at every order raises
+    A ``DegenerateModelError`` is raised for a zero-variance series and for
+    orders the recursion computes, and a loss undefined at every order raises
     ``UndefinedLossError`` here rather than in ``select_order``.
     """
     n = len(ts)
@@ -180,23 +156,31 @@ def fit(
         criterion = Criterion(criterion)
         if patience is None:
             patience = default_patience(max_order, criterion)
-    p0, steps = burg_lattice(ts.samples, max_order)
+    x = ts.samples
+    p0 = x @ x / n
+    if p0 == 0.0:
+        raise DegenerateModelError("zero-variance input")
+    if n >= FAST_BURG_MIN_N:
+        steps = _fast_steps(x, p0, max_order)
+    else:
+        steps = _steps(x.copy(), x.copy(), p0, 0, max_order)
     p, c = [p0], []
 
-    def recorded():
+    def orders():
+        """``(m, p_m, c_{m-1})`` from order 0, each order recorded as it is computed."""
+        yield 0, p0, None
         for pk, ck in steps:
             p.append(pk)
             c.append(ck)
-            yield pk, ck
+            yield len(c), pk, ck
 
     selection = None
     if criterion is None:
-        for _ in recorded():
+        for _ in orders():
             pass
     else:
-        selection = scan_orders(p0, recorded(), criterion, n, patience)
-    return RecursionTrace(p=np.array(p, dtype=np.float64), c=np.array(c, dtype=np.float64),
-                          dt=ts.dt, n_samples=n, selection=selection)
+        selection = scan_orders(orders(), criterion, n, patience)
+    return RecursionTrace(p=p, c=c, dt=ts.dt, n_samples=n, selection=selection)
 
 
 def reflection_coefficients(a: np.ndarray) -> np.ndarray:

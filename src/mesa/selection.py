@@ -1,6 +1,7 @@
 """AR order selection: FPE/CAT/OBD losses, the order bound, early stopping."""
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -45,8 +46,8 @@ def _loss_sequence(orders, criterion: Criterion, n: int):
     """Yield (order, loss) for (order, p_order, c_{order-1}) from ``orders``.
 
     Reads ``orders`` only as far as it yields, and stops where the loss is
-    undefined. With the unbiased powers Pbar_k = N P_k / (N-k), the losses
-    at order m are:
+    undefined; both CAT readings are NaN at order 0. With the unbiased
+    powers Pbar_k = N P_k / (N-k), the losses at order m are:
 
     * ``fpe``: P_m (N+m+1)/(N-m-1), for m < N-1;
     * ``cat``, Parzen's CAT: (1/N) sum_{k=1..m} 1/Pbar_k - 1/Pbar_m, for m >= 1;
@@ -65,6 +66,7 @@ def _loss_sequence(orders, criterion: Criterion, n: int):
         acc = 0.0
         for m, pm, _ in orders:
             if m == 0:
+                yield m, math.nan
                 continue
             inv = _inverse_unbiased_power(pm, n, m)
             if inv is None:
@@ -75,6 +77,7 @@ def _loss_sequence(orders, criterion: Criterion, n: int):
         acc = 0.0
         for m, pm, _ in orders:
             if m == 0:
+                yield m, math.nan
                 continue
             inv = _inverse_unbiased_power(pm, n, m)
             if inv is None:
@@ -97,52 +100,33 @@ def _loss_sequence(orders, criterion: Criterion, n: int):
         raise ValidationError(f"no loss scan for criterion {criterion.value!r}")
 
 
-def scan_orders(
-    p0,
-    steps,
-    criterion: Criterion,
-    n: int,
-    patience: float,
-) -> OrderSelection:
+def scan_orders(orders, criterion: Criterion, n: int, patience: float) -> OrderSelection:
     """Scan a stream of orders with one loss and pick its first minimum.
 
-    ``p0`` is the order-0 power and ``steps`` yields ``(p_{k+1}, c_k)`` for
-    k = 0, 1, ..., as a recursion produces them. The scan draws from
-    ``steps`` one order at a time and no further than the order where it
+    ``orders`` yields ``(m, p_m, c_{m-1})`` for m = 0, 1, ..., as a
+    recursion produces them (``c_{-1}`` is None). The scan draws from
+    ``orders`` one order at a time and no further than the order where it
     stops, so a lazy recursion computes only the orders scanned. It stops
     after ``patience`` orders without a new minimum; ``math.inf`` scans
     every order.
     """
     if not patience >= 1:
         raise ValidationError(f"patience must be >= 1, got {patience}")
-
-    def orders():
-        yield 0, p0, None
-        for m, (pm, cm) in enumerate(steps, 1):
-            yield m, pm, cm
-
-    # the CAT readings start at order 1: pad so that losses[m] is order m
-    from_order_one = criterion in (Criterion.CAT, Criterion.CAT_INVSUM)
-    losses: list[float] = [np.nan] if from_order_one else []
+    losses: list[float] = []
     best_loss = np.inf
     best_order = -1
     early_stopped = False
-    for m, value in _loss_sequence(orders(), criterion, n):
+    for m, value in _loss_sequence(orders, criterion, n):
         losses.append(value)
         if value < best_loss:
             best_loss = value
             best_order = m
-        if m - best_order >= patience:
+        if best_order >= 0 and m - best_order >= patience:
             early_stopped = True
             break
     if best_order < 0:
         raise UndefinedLossError(f"{criterion.value} undefined at every order of the trace")
-    return OrderSelection(
-        criterion=criterion,
-        losses=np.asarray(losses, dtype=np.float64),
-        chosen_order=best_order,
-        early_stopped=early_stopped,
-    )
+    return OrderSelection(criterion=criterion, losses=losses, early_stopped=early_stopped)
 
 
 def select_order(trace: RecursionTrace, criterion: Criterion | str) -> OrderSelection:
@@ -165,4 +149,5 @@ def select_order(trace: RecursionTrace, criterion: Criterion | str) -> OrderSele
                 f"the recursion was stopped by its {held.criterion.value} scan; "
                 "fit without a criterion to scan it otherwise"
             )
-    return scan_orders(trace.p[0], zip(trace.p[1:], trace.c), criterion, trace.n_samples, math.inf)
+    orders = zip(range(trace.max_order + 1), trace.p, itertools.chain([None], trace.c))
+    return scan_orders(orders, criterion, trace.n_samples, math.inf)

@@ -114,8 +114,8 @@ def psd(model: ArModel, freqs: np.ndarray | None = None) -> SpectralDensity:
 def to_one_sided(sd: SpectralDensity) -> SpectralDensity:
     """Fold a two-sided density to the one-sided convention.
 
-    Values strictly inside (0, max frequency) are doubled; the grid is
-    assumed to span up to the Nyquist frequency.
+    Values strictly inside (0, max frequency) are doubled, so the grid's last
+    point must be the Nyquist frequency, as on an even-length DFT's grid.
     """
     if sd.sided is Sided.ONE_SIDED:
         return sd
@@ -130,7 +130,11 @@ def to_one_sided(sd: SpectralDensity) -> SpectralDensity:
 
 
 def to_two_sided(sd: SpectralDensity) -> SpectralDensity:
-    """Inverse of :func:`to_one_sided` on the non-negative grid."""
+    """Inverse of :func:`to_one_sided` on the non-negative grid.
+
+    The grid's last point must be the Nyquist frequency, as on an
+    even-length DFT's grid: it is never halved.
+    """
     if sd.sided is Sided.TWO_SIDED:
         return sd
     freqs = sd.freqs

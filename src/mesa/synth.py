@@ -8,7 +8,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from mesa._rng import make_rng
-from mesa.core import ArModel, GenerationError, TimeSeries, ValidationError
+from mesa.core import (
+    ArModel,
+    GenerationError,
+    TimeSeries,
+    ValidationError,
+    _finite,
+    _readonly,
+    _require,
+)
 from mesa.estimator import reflection_coefficients
 
 _STABILITY_MARGIN = 1e-9
@@ -33,23 +41,19 @@ class TabulatedPsd:
     interpolation: Interpolation = Interpolation.LINEAR
 
     def __post_init__(self):
-        freqs = np.asarray(self.freqs, dtype=np.float64)
-        values = np.asarray(self.values, dtype=np.float64)
-        object.__setattr__(self, "freqs", freqs)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "freqs", _readonly(self.freqs))
+        object.__setattr__(self, "values", _readonly(self.values))
         object.__setattr__(self, "interpolation", Interpolation(self.interpolation))
-        if freqs.ndim != 1 or freqs.size < 2:
-            raise ValidationError("need at least two tabulation points")
-        if values.shape != freqs.shape:
-            raise ValidationError("freqs and values must have equal length")
-        if not (np.diff(freqs) > 0).all():
-            raise ValidationError("frequencies must be strictly increasing")
-        if freqs[0] < 0:
-            raise ValidationError("tabulation must start at or near 0")
-        if not np.isfinite(values).all() or (values < 0).any():
-            raise ValidationError("PSD values must be finite and non-negative")
-        if self.interpolation is Interpolation.LOGLOG and ((values <= 0).any() or freqs[0] <= 0):
-            raise ValidationError("log-log interpolation needs strictly positive freqs and values")
+        freqs, values = self.freqs, self.values
+        _require(freqs.ndim == 1 and freqs.size >= 2, "need at least two tabulation points")
+        _require(values.shape == freqs.shape, "freqs and values must have equal length")
+        _require(bool((np.diff(freqs) > 0).all()), "frequencies must be strictly increasing")
+        _require(freqs[0] >= 0, "tabulation must start at or near 0")
+        _require(_finite(values) and bool((values >= 0).all()),
+                 "PSD values must be finite and non-negative")
+        if self.interpolation is Interpolation.LOGLOG:
+            _require(bool((values > 0).all()) and freqs[0] > 0,
+                     "log-log interpolation needs strictly positive freqs and values")
 
     def __call__(self, f: np.ndarray) -> np.ndarray:
         f = np.abs(np.asarray(f, dtype=np.float64))

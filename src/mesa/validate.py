@@ -68,7 +68,6 @@ class GaussianExperimentResult:
     records: tuple
     mean_psd: SpectralDensity
     error_curve: SpectralDensity
-    truth: SpectralDensity
 
     @property
     def orders(self) -> np.ndarray:
@@ -126,7 +125,6 @@ def run_gaussian_experiment(
         records=records,
         mean_psd=mean_psd,
         error_curve=relative_error_ensemble(estimates, truth),
-        truth=truth,
     )
 
 

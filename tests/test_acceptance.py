@@ -357,17 +357,18 @@ def test_criterion_09_formula_values():
     # recomputed from the defining formula floor(2n/ln 2n); see ledger for
     # the 7246 typo in the stated value
     close(max_order(40960), 7240, "max_order(40960)")
-    # the losses as the order scan computes them; steps are (p_{k+1}, c_k)
+    # the losses as the order scan computes them; orders are (m, p_m, c_{m-1})
     full = math.inf
-    fpe = scan_orders(1.0, [(1.0, 0.0)], Criterion.FPE, 100, full).losses
+    fpe = scan_orders([(0, 1.0, None), (1, 1.0, 0.0)], Criterion.FPE, 100, full).losses
     close(fpe[0], 101 / 99, "FPE(1,100,0)")
     close(fpe[1], 102 / 98, "FPE(1,100,1)")
-    cat = scan_orders(np.nan, [(1.0, 0.0), (1.0, 0.0)], Criterion.CAT, 100, full).losses
+    cat = scan_orders([(0, np.nan, None), (1, 1.0, 0.0), (2, 1.0, 0.0)], Criterion.CAT, 100,
+                      full).losses
     close(cat[1], -0.9801, "CAT m=1")
     close(cat[2], -0.9603, "CAT m=2")
-    close(scan_orders(2.0, [], Criterion.OBD, 10, full).losses[0], 8 * math.log(2),
+    close(scan_orders([(0, 2.0, None)], Criterion.OBD, 10, full).losses[0], 8 * math.log(2),
           "OBD m=0 p0=2")
-    close(scan_orders(1.0, [(1.0, 0.5)], Criterion.OBD, 10, full).losses[1],
+    close(scan_orders([(0, 1.0, None), (1, 1.0, 0.5)], Criterion.OBD, 10, full).losses[1],
           math.log(10) + 0.25, "OBD m=1")
 
     a, p = levinson_step(np.ones(1), 1.0, -0.5)

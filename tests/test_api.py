@@ -1,9 +1,11 @@
 """The public surface of the package, pinned so that a change to it is deliberate."""
+import argparse
 import enum
 import inspect
 import types
 
 import mesa
+from mesa.cli import build_parser
 
 PUBLIC_NAMES = [
     "ArModel",
@@ -56,7 +58,7 @@ PUBLIC_SIGNATURES = {
     "ArModel": "a, p_m, dt",
     "ForecastEnsemble": "realizations",
     "ForecastSummary": "steps, median, quantile_levels, quantiles",
-    "OrderSelection": "criterion, losses, chosen_order, early_stopped=",
+    "OrderSelection": "criterion, losses, early_stopped=",
     "RecursionTrace": "p, c, dt, n_samples, selection=",
     "SpectralDensity": "freqs, values, sided",
     "TabulatedPsd": "freqs, values, interpolation=",
@@ -99,3 +101,37 @@ def test_public_signatures_are_pinned():
         if not (isinstance(obj, type) and issubclass(obj, (BaseException, enum.Enum))):
             found[name] = parameters(obj)
     assert found == PUBLIC_SIGNATURES
+
+
+# The option strings of every CLI command, help aside.
+CLI_OPTIONS = {
+    "estimate": "--in --dt --binary --criterion --max-order --demean --n-freqs --sided "
+                "--patience --out-prefix",
+    "forecast": "--in --dt --binary --model --horizon --n-realizations --seed --noise-scale "
+                "--quantiles --out",
+    "generate": "--psd-gaussian --psd --model --psd-interp --n --dt --burn-in --seed --out",
+    "welch": "--in --dt --binary --segment --overlap --tukey --detrend --out",
+    "compare": "--psd --psd-interp --duration --fs --seed --criterion --segment --overlap "
+               "--tukey --patience --out-prefix",
+    "experiment gaussian": "--n-realizations --n-samples --criterion --mu --sigma --dt "
+                           "--n-freqs --seed --out-prefix",
+    "experiment order-recovery": "--n-models --p-min --p-max --n-samples --seed --out-prefix",
+}
+
+
+def cli_options(parser, command=""):
+    """``{command: its option strings}`` for every leaf command under ``parser``."""
+    found, options = {}, []
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                found.update(cli_options(sub, f"{command} {name}".strip()))
+        elif not isinstance(action, argparse._HelpAction):
+            options += action.option_strings
+    if not found:
+        found[command] = " ".join(options)
+    return found
+
+
+def test_cli_options_are_pinned():
+    assert cli_options(build_parser()) == CLI_OPTIONS

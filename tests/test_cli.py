@@ -1,5 +1,6 @@
 """End-to-end CLI: artifacts, exit codes, determinism."""
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,6 +13,8 @@ import mesa
 from mesa._io import fmt, read_timeseries
 from mesa.cli import main
 from mesa.core import ArModel
+from mesa.estimator import fit
+from mesa.selection import max_order
 
 
 def run(argv):
@@ -72,13 +75,25 @@ def test_estimate_cat_inverse_sum_scans_every_order_by_default(tmp_path):
     data = write_noise(tmp_path / "noise.csv")
     base = ["estimate", "--in", data, "--dt", "0.01", "--criterion", "cat-invsum"]
     assert run(base + ["--out-prefix", tmp_path / "def"]) == 0
-    assert run(base + ["--no-early-stop", "--out-prefix", tmp_path / "full"]) == 0
+    assert run(base + ["--patience", "inf", "--out-prefix", tmp_path / "full"]) == 0
     default = (tmp_path / "def_selection.json").read_bytes()
     assert default == (tmp_path / "full_selection.json").read_bytes()
     assert not json.loads(default)["early_stopped"]
     # --patience still turns the early stop on
     assert run(base + ["--patience", "5", "--out-prefix", tmp_path / "pat"]) == 0
     assert json.loads((tmp_path / "pat_selection.json").read_text())["early_stopped"]
+
+
+def test_estimate_patience_inf_is_a_full_scan(tmp_path):
+    data = write_noise(tmp_path / "noise.csv")
+    assert run(["estimate", "--in", data, "--dt", "0.01", "--patience", "inf",
+                "--out-prefix", tmp_path / "full"]) == 0
+    ts = read_timeseries(data, dt=0.01)
+    trace = fit(ts, max_order(len(ts)), criterion="fpe", patience=math.inf)
+    sel = json.loads((tmp_path / "full_selection.json").read_text())
+    assert sel == json.loads(json.dumps(trace.selection.to_dict()))
+    # on white noise the default patience of 100 would stop near order 100
+    assert not sel["early_stopped"] and len(sel["losses"]) == trace.max_order + 1
 
 
 def test_estimate_two_column_input(tmp_path):
@@ -119,11 +134,12 @@ def test_estimate_usage_errors(tmp_path):
         run(["estimate", "--in", data, "--dt", "0.01", "--max-order", "0",
              "--out-prefix", tmp_path / "x"])
     assert err.value.code == 2
-    # a full scan has no patience to apply
-    with pytest.raises(SystemExit) as err:
-        run(["estimate", "--in", data, "--dt", "0.01", "--no-early-stop", "--patience", "5",
-             "--out-prefix", tmp_path / "x"])
-    assert err.value.code == 2
+    # --patience is a positive integer or inf
+    for bad in ("nan", "0", "-1", "2.5", "-inf"):
+        with pytest.raises(SystemExit) as err:
+            run(["estimate", "--in", data, "--dt", "0.01", "--patience", bad,
+                 "--out-prefix", tmp_path / "x"])
+        assert err.value.code == 2
     # an order the 2000-row input cannot support
     assert run(["estimate", "--in", data, "--dt", "0.01", "--max-order", "2000",
                 "--out-prefix", tmp_path / "x"]) == 2
@@ -298,6 +314,15 @@ def test_compare_command(tmp_path):
     assert metrics["mesa_error"] >= 0 and metrics["welch_error"] >= 0
     for suffix in ("_mesa_psd.csv", "_welch_psd.csv"):
         assert (tmp_path / ("cmp" + suffix)).exists()
+
+
+def test_compare_rejects_odd_segment(tmp_path, capsys):
+    # an odd segment's last bin lies below Nyquist, where both folds go wrong
+    tab = write_tabulated(tmp_path / "target.csv")
+    assert run(["compare", "--psd", tab, "--duration", "2", "--fs", "128",
+                "--seed", "5", "--segment", "63", "--out-prefix", tmp_path / "cmp"]) == 2
+    assert "--segment must be even, got 63" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["target.csv"]
 
 
 def test_experiment_gaussian_command(tmp_path):

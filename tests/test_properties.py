@@ -18,9 +18,10 @@ from mesa.estimator import (
     fit,
     reflection_coefficients,
 )
-from mesa.selection import default_patience, max_order, scan_orders, select_order
+from mesa.selection import default_patience, max_order, select_order
 from mesa.spectrum import _denominator_direct, frequency_grid, psd
 from oracles import levinson_step
+from test_selection import scan
 
 # the tolerance of fast Burg against the lattice, in c and in relative p, at
 # orders whose lattice power is at least MIN_P_RATIO * p0
@@ -81,8 +82,7 @@ def test_fit_invariants(x, m, criterion):
     assert stopped.p.tobytes() == full.p[: k + 1].tobytes()
     assert stopped.c.tobytes() == full.c[:k].tobytes()
     sel = select_order(stopped, criterion)
-    expected = scan_orders(full.p[0], zip(full.p[1:], full.c), criterion, len(x),
-                           default_patience(m, criterion))
+    expected = scan(full.p, criterion, len(x), full.c, default_patience(m, criterion))
     assert sel.to_dict() == expected.to_dict()
 
     model = stopped.model(sel.chosen_order)

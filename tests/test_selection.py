@@ -33,7 +33,7 @@ def make_trace(p, c, n):
 def scan(p, criterion, n, c=None, patience=math.inf):
     """Scan of the powers ``p`` (indexed by order) and reflections ``c``, in full by default."""
     c = np.zeros(len(p) - 1) if c is None else c
-    return scan_orders(p[0], zip(p[1:], c), Criterion(criterion), n, patience)
+    return scan_orders(zip(range(len(p)), p, [None, *c]), Criterion(criterion), n, patience)
 
 
 # --- max_order ---------------------------------------------------------------
@@ -99,7 +99,7 @@ def test_cat_scans_end_before_a_subnormal_power(criterion):
     # before that order, as it does before a zero power
     p = np.array([1.0, 0.5, 0.25, 5e-324, 5e-324])
     sel = scan(p, criterion, 100)
-    assert sel.losses.size == 3  # the order-0 pad, then orders 1 and 2
+    assert sel.losses.size == 3  # order 0's NaN, then orders 1 and 2
     assert np.isfinite(sel.losses[1:]).all()
     assert sel.chosen_order in (1, 2)
 
@@ -222,6 +222,13 @@ def test_selection_is_deterministic():
 def test_trace_without_sample_count_rejected():
     with pytest.raises(TypeError):
         RecursionTrace(p=[1.0, 0.5], c=[np.sqrt(0.5)], dt=1.0)
+
+
+@pytest.mark.parametrize("criterion", ["cat", "cat-invsum"])
+def test_cat_patience_counts_from_order_one(criterion):
+    # order 0 has no CAT reading, so patience 1 must not stop the scan there
+    sel = scan([np.nan, 1.0, 0.5, 0.5], criterion, 100, patience=1)
+    assert sel.early_stopped and sel.chosen_order == 2 and sel.losses.size == 4
 
 
 @pytest.mark.parametrize("patience", [0, 0.5, -1, math.nan])

@@ -91,6 +91,22 @@ def test_tabulated_psd_interpolation():
         TabulatedPsd(freqs=[0.0, 1.0], values=[1.0, 1.0], interpolation="loglog")
 
 
+def test_tabulated_psd_keeps_its_own_copy():
+    freqs, values = np.array([0.0, 1.0, 2.0]), np.array([1.0, 2.0, 3.0])
+    tab = TabulatedPsd(freqs=freqs, values=values)
+    freqs[:] = [0.0, 5.0, 10.0]
+    values[:] = -5.0
+    np.testing.assert_array_equal(tab(np.array([0.5, 1.5])), [1.5, 2.5])
+
+
+def test_tabulated_psd_is_read_only():
+    tab = TabulatedPsd(freqs=[0.0, 1.0, 2.0], values=[1.0, 2.0, 3.0])
+    with pytest.raises(ValueError):
+        tab.freqs[0] = 10.0
+    with pytest.raises(ValueError):
+        tab.values[0] = -1.0
+
+
 # --- generate_ar --------------------------------------------------------------
 
 def test_generate_ar_white_noise():
