@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: estimate | forecast | generate | welch | compare | experiment.
-Exit codes: 0 ok, 2 usage or I/O error, 3 numerical/degenerate error.
+Exit codes: 0 ok, 2 usage or I/O error, 3 numerical/degenerate error or
+out of memory.
 Randomized commands require an explicit --seed and are deterministic given
 it.
 """
@@ -55,8 +56,9 @@ def _patience(text: str) -> float:
 
 def _add_patience_arg(p: argparse.ArgumentParser) -> None:
     p.add_argument("--patience", type=_patience, default=None,
-                   help="orders without a new minimum before the scan stops; "
-                        "'inf' scans and computes every order")
+                   help="orders without a new minimum before the scan stops "
+                        "(default: max(100, ceil(3 sqrt(M))) for M the maximum order, "
+                        "'inf' for cat-invsum); 'inf' scans and computes every order")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -338,6 +340,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except SpectralError as exc:
         print(f"mesa: numerical error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"mesa: out of memory: {str(exc) or 'allocation refused'}", file=sys.stderr)
         return 3
     except (ValidationError, OSError) as exc:
         print(f"mesa: {exc}", file=sys.stderr)

@@ -24,14 +24,25 @@ def max_order(n: int) -> int:
 
 
 def default_patience(scan_max_order: int, criterion: Criterion | str) -> float:
-    """Patience max(100, ceil(M/10)); ``math.inf``, a full scan, for ``cat-invsum``.
+    """Patience max(100, ceil(3 sqrt(M))); ``math.inf``, a full scan, for ``cat-invsum``.
+
+    The patience grows as sqrt(M), so a stopped fit computes few orders
+    past the minimum at large N. The constant 3 lies inside the window
+    [2.2, 3.8] that two fixtures fix:
+
+    * c >= 2.2: on order-recovery model j = 5 (``run_order_recovery`` at
+      seed 99, N = 30000, M = 5453), FPE's next new minimum after order
+      13 is at order 174 and its full-scan minimum at order 196; only a
+      patience of at least 161, c >= 161 / sqrt(5453) = 2.18, reaches them;
+    * c <= 3.8: at N = 3000 (M = 689, the Gaussian study) the patience
+      stays at the floor of 100, since 3.8 sqrt(689) < 100.
 
     The ``cat-invsum`` loss has deep local minima far below the order of
     its global minimum, where a patience stop would end the scan.
     """
     if Criterion(criterion) is Criterion.CAT_INVSUM:
         return math.inf
-    return max(100, -(-scan_max_order // 10))
+    return max(100, math.ceil(3 * math.sqrt(scan_max_order)))
 
 
 def _inverse_unbiased_power(pm, n: int, m: int) -> float | None:

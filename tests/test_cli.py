@@ -171,6 +171,31 @@ def test_estimate_degenerate_exit_code(tmp_path):
     assert run(["estimate", "--in", path, "--dt", "1.0", "--out-prefix", tmp_path / "z"]) == 3
 
 
+@pytest.mark.parametrize("command, argv", [
+    ("cmd_estimate", ["estimate", "--in", "x.csv", "--out-prefix", "o"]),
+    ("cmd_forecast", ["forecast", "--in", "x.csv", "--model", "m.json", "--horizon", "2",
+                      "--seed", "1", "--out", "f.csv"]),
+    ("cmd_generate", ["generate", "--psd-gaussian", "2.5", "0.5", "--n", "8", "--seed", "1",
+                      "--out", "g.csv"]),
+    ("cmd_experiment_gaussian", ["experiment", "gaussian", "--n-realizations", "2",
+                                 "--n-samples", "8", "--seed", "1", "--out-prefix", "e"]),
+])
+@pytest.mark.parametrize("error, message", [
+    (MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000000000,)"),
+     "mesa: out of memory: Unable to allocate 7.28 TiB for an array with shape (1000000000000,)"),
+    (MemoryError(), "mesa: out of memory: allocation refused"),
+], ids=["numpy", "bare"])
+def test_memory_error_exits_3_with_one_line(monkeypatch, capsys, command, argv, error, message):
+    # the command raises as a refused allocation would; nothing is allocated
+    def refuse(args):
+        raise error
+
+    monkeypatch.setattr(f"mesa.cli.{command}", refuse)
+    assert run(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.err == message + "\n" and captured.out == ""
+
+
 def test_generate_gaussian_row_count(tmp_path):
     out = tmp_path / "gen.csv"
     assert run(["generate", "--psd-gaussian", "2.5", "0.5", "--n", "3000",

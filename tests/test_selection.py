@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from mesa._rng import derive_seed
 from mesa.core import (
     Criterion,
     DegenerateModelError,
@@ -238,9 +239,50 @@ def test_scan_rejects_patience_below_one(patience):
 
 
 def test_default_patience():
-    assert default_patience(5000, "fpe") == 500
-    assert default_patience(5001, "cat") == 501
+    # max(100, ceil(3 sqrt(M)))
+    assert default_patience(5000, "fpe") == 213
+    assert default_patience(5001, "cat") == 213
+    assert default_patience(5453, "obd") == 222
+    assert default_patience(16385, "fpe") == 385
+    assert default_patience(137848, Criterion.OBD) == 1114
     assert default_patience(100, "obd") == 100
+    # a perfect square: 3 sqrt(M) is an integer and is not rounded up
+    assert default_patience(40000, "fpe") == 600
+    # at N = 3000 (M = 689, the Gaussian study) the patience is the floor
+    for crit in ("fpe", "cat", "obd"):
+        assert default_patience(689, crit) == 100
+
+
+# Order-recovery models j = 5 and j = 41 of the acceptance study (seed 99,
+# N = 30000, true orders 2..500) and the largest FPE gap of each: the most
+# orders from one new minimum to the next, up to the full-scan minimum. They
+# are the two largest among the study's 50 models; a scan reaches the next
+# minimum only with a patience at least the gap.
+RECOVERY_GAPS = {5: 161, 41: 87}
+
+
+def largest_gap(losses):
+    """The most orders from one new minimum of ``losses`` to the next, up to the global one."""
+    best, gap = 0, 0
+    for m in range(1, int(np.nanargmin(losses)) + 1):
+        if losses[m] < losses[best]:
+            gap, best = max(gap, m - best), m
+    return gap
+
+
+@pytest.mark.parametrize("j", sorted(RECOVERY_GAPS))
+def test_default_patience_reaches_the_full_scan_minimum_on_recovery_models(j):
+    model = random_ar_model(derive_seed(99, j, 0), 2, 500)
+    ts = generate_ar(model, 30_000, rng_seed=derive_seed(99, j, 1))
+    m_max = max_order(30_000)
+    full = select_order(fit(ts, m_max), "fpe")
+    assert largest_gap(full.losses) == RECOVERY_GAPS[j]
+    stopped = fit(ts, m_max, criterion="fpe").selection
+    assert stopped.early_stopped and stopped.chosen_order == full.chosen_order
+    if j == 5:
+        # one order less of patience stops at the local minimum before the gap
+        short = fit(ts, m_max, criterion="fpe", patience=RECOVERY_GAPS[j] - 1).selection
+        assert short.chosen_order == 13 < full.chosen_order == 196
 
 
 def test_cat_inverse_sum_defaults_to_full_scan():
@@ -269,7 +311,7 @@ def test_select_order_scans_every_order_of_an_unstopped_trace(crit):
 
 # --- scan inside the recursion ----------------------------------------------------
 
-# max_order 2379 and 3770, so the default patience (238, 377) is not the floor
+# max_order 2379 and 3770, so the default patience (147, 185) is not the floor
 # of 100; the first runs the lattice, the second Vos's fast Burg
 PARITY_NS = (12_000, 20_000)
 
