@@ -21,20 +21,43 @@ from mesa.core import (
 from mesa.selection import default_patience, scan_orders
 
 
+def _fft_length(n: int) -> int:
+    """The smallest 2^a 3^b 5^c that is at least ``n``: numpy's FFT is fast there."""
+    best = 1 << max(n - 1, 0).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            m = p35
+            while m < n:
+                m *= 2
+            best = min(best, m)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _autocovariance(x: np.ndarray, max_lag: int) -> np.ndarray:
     """Unnormalized sums R_k = sum_t x_t x_{t+k}, k = 0..max_lag, by one FFT.
 
-    The FFT length depends on N alone, so R_k does not depend on ``max_lag``.
+    The FFT has ``_fft_length(N + max_lag)`` points, the fewest fast lengths
+    whose circular correlation leaves lags 0..max_lag free of wrap. R_k
+    therefore depends on N and ``max_lag``: calls with equal ``max_lag``
+    agree bitwise, calls with different ``max_lag`` only to rounding. The
+    power spectrum is formed in place and the lags are copied out, so no
+    FFT buffer outlives the call.
     """
     n = x.shape[0]
-    nfft = 1 << int(2 * n - 1).bit_length()
+    nfft = _fft_length(n + max_lag)
     spec = np.fft.rfft(x, nfft)
-    return np.fft.irfft(spec * np.conj(spec), nfft)[: max_lag + 1]
+    np.multiply(spec, spec.conj(), out=spec)
+    return np.fft.irfft(spec, nfft)[: max_lag + 1].copy()
 
 
 # Inputs at least this long run Vos's fast Burg, shorter ones the lattice
 # (the per-order cost crosses between N = 8192 and N = 16384). The choice
-# depends on N alone, so a stopped fit is a prefix of the full one.
+# depends on N alone and the autocovariance on N and max_order, so a stopped
+# fit is a prefix of the full one with the same max_order.
 FAST_BURG_MIN_N = 16384
 # The fast recursion loses accuracy as p_k / p_0 shrinks: an order whose
 # power or error energy would fall below this ratio of its order-0 value, and

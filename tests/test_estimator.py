@@ -10,7 +10,7 @@ import pytest
 from scipy.signal import lfilter
 
 from mesa.core import DegenerateModelError, TimeSeries, ValidationError
-from mesa.estimator import fit, reflection_coefficients
+from mesa.estimator import _autocovariance, _fft_length, fit, reflection_coefficients
 from mesa.selection import max_order
 from oracles import fit_from_autocorr, levinson_step, reflection_yule_walker, sample_autocorrelation
 
@@ -72,6 +72,48 @@ def test_autocorr_lag_out_of_range():
         sample_autocorrelation(ts, 3)
     with pytest.raises(ValidationError):
         sample_autocorrelation(ts, -1)
+
+
+# --- fast Burg's FFT autocovariance ------------------------------------------
+
+def five_smooth_at_least(n):
+    """Brute force: count up from n to the first 2^a 3^b 5^c."""
+    m = n
+    while True:
+        k = m
+        for p in (2, 3, 5):
+            while k % p == 0:
+                k //= p
+        if k == 1:
+            return m
+        m += 1
+
+
+def test_fft_length_is_the_smallest_five_smooth_length():
+    assert [_fft_length(n) for n in range(1, 5001)] == [five_smooth_at_least(n)
+                                                       for n in range(1, 5001)]
+    # N + max_order at the 1e5 and 1e6 inputs
+    assert _fft_length(116_385) == 116_640
+    assert _fft_length(1_137_848) == 1_152_000
+
+
+@pytest.mark.parametrize("n, max_lag", [
+    (1, 0), (2, 1), (1000, 999), (1001, 1000),  # max_lag = n - 1
+    (600, 75), (600, 76),   # n + max_lag = 675, a fast length, and one past it
+    (3000, 456), (3000, 457),  # 3456 = 2^7 3^3, and one past it
+])
+def test_autocovariance_equals_direct_sums_without_wrap(n, max_lag):
+    x = np.random.default_rng(n + max_lag).standard_normal(n) + 0.5
+    direct = np.array([x[: n - k] @ x[k:] for k in range(max_lag + 1)])
+    r = _autocovariance(x, max_lag)
+    assert r.shape == (max_lag + 1,)
+    np.testing.assert_allclose(r, direct, rtol=0, atol=1e-12 * direct[0])
+
+
+def test_autocovariance_owns_only_its_lags():
+    # the lags are copied out, so no FFT buffer stays alive behind them
+    r = _autocovariance(np.random.default_rng(1).standard_normal(4096), 10)
+    assert r.base is None and r.size == 11
 
 
 # --- levinson_step ----------------------------------------------------------
@@ -232,6 +274,20 @@ def test_fit_state_is_linear_in_order():
         tracemalloc.stop()
     assert trace.max_order == m
     assert peak < 2_000_000, f"fit peak {peak / 1e6:.1f} MB at M={m}"
+
+
+def test_fast_burg_peak_is_sized_to_the_lags_it_reads():
+    # the autocovariance FFT has _fft_length(N + M) = 116,640 points: this
+    # fit's traced peak is about 2.1 MB, against 6.3 MB with 2^18 points
+    n = 100_000
+    ts = TimeSeries(np.random.default_rng(10).standard_normal(n), dt=1.0)
+    tracemalloc.start()
+    try:
+        fit(ts, max_order(n), criterion="fpe")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000, f"fit peak {peak / 1e6:.1f} MB at N={n}"
 
 
 def test_reflection_coefficients_inverts_replay():

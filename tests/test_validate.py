@@ -1,8 +1,15 @@
 """Error metrics and experiment harness plumbing."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from mesa import spectrum
+from mesa._rng import derive_seed
 from mesa.core import Sided, SpectralDensity, ValidationError
+from mesa.estimator import fit
+from mesa.selection import max_order, select_order
+from mesa.synth import generate_from_psd
 from mesa.validate import (
     gaussian_bump,
     relative_error_ensemble,
@@ -74,6 +81,41 @@ def test_gaussian_experiment_reproducible():
     np.testing.assert_array_equal(a.errors, b.errors)
     c = run_gaussian_experiment(3, 600, "fpe", rng_seed=8)
     assert not np.array_equal(a.errors, c.errors)
+
+
+def test_gaussian_running_sums_equal_the_stacked_statistics():
+    # the harness keeps running sums; they match np.mean over the stacked
+    # PSDs and relative_error_ensemble byte for byte
+    n_real, n_samples, n_freqs, seed = 9, 600, 257, 11
+    res = run_gaussian_experiment(n_real, n_samples, "obd", rng_seed=seed, n_freqs=n_freqs)
+    curve = gaussian_bump(2.5, 0.5)
+    truth = SpectralDensity(freqs=res.mean_psd.freqs, values=curve(res.mean_psd.freqs),
+                            sided=Sided.TWO_SIDED)
+    estimates = []
+    for i in range(n_real):
+        trace = fit(generate_from_psd(curve, n_samples, 0.125, derive_seed(seed, i)),
+                    max_order(n_samples), criterion="obd")
+        estimates.append(spectrum.psd(trace.model(select_order(trace, "obd").chosen_order),
+                                      truth.freqs))
+    stacked = np.mean([est.values for est in estimates], axis=0)
+    assert res.mean_psd.values.tobytes() == stacked.tobytes()
+    assert (res.error_curve.values.tobytes()
+            == relative_error_ensemble(estimates, truth).values.tobytes())
+    assert list(res.errors) == [relative_error_freq_avg(est, truth) for est in estimates]
+
+
+def test_gaussian_experiment_memory_does_not_grow_with_realizations():
+    def peak(n_realizations):
+        tracemalloc.start()
+        try:
+            run_gaussian_experiment(n_realizations, 600, "fpe", rng_seed=3, n_freqs=4097)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    run_gaussian_experiment(2, 600, "fpe", rng_seed=3, n_freqs=4097)  # warm-up
+    small, large = peak(10), peak(100)
+    assert large < 1.5 * small, f"peak {small / 1e6:.2f} MB at R=10, {large / 1e6:.2f} MB at R=100"
 
 
 def test_order_recovery_records():
