@@ -59,17 +59,19 @@ def _autocovariance(x: np.ndarray, max_lag: int) -> np.ndarray:
 # depends on N alone and the autocovariance on N and max_order, so a stopped
 # fit is a prefix of the full one with the same max_order.
 FAST_BURG_MIN_N = 16384
-# The fast recursion loses accuracy as p_k / p_0 shrinks: an order whose
-# power or error energy would fall below this ratio of its order-0 value, and
-# every later order, runs on the lattice.
+# The fast recursion loses accuracy as its error energy shrinks against its
+# order-0 value: an order whose energy would fall below this ratio of it, and
+# every later order, runs on the lattice. The energy falls no slower than the
+# power (den_k / den_0 <= p_k / p_0), so no order whose power is below this
+# ratio of p_0 runs on fast Burg.
 FAST_BURG_GUARD_RATIO = 1e-6
 
 
-def _steps(f: np.ndarray, b: np.ndarray, p, start: int, max_order: int):
+def _steps(f: np.ndarray, b: np.ndarray, start: int, max_order: int):
     """The lattice from order ``start``, whose forward/backward errors are ``f`` and ``b``.
 
     ``f[i]`` and ``b[i]`` are the errors at sample ``start + i``; both
-    arrays are overwritten. Yields ``(p_{k+1}, c_k)`` for k = start..max_order-1,
+    arrays are overwritten. Yields c_k for k = start..max_order-1,
     computing an order only when the generator is advanced.
     """
     # errors live in preallocated buffers: b is updated in place, f
@@ -89,8 +91,7 @@ def _steps(f: np.ndarray, b: np.ndarray, p, start: int, max_order: int):
             ck = 1.0
         elif ck < -1.0:
             ck = -1.0
-        p = p * (1.0 - ck * ck)
-        yield p, ck
+        yield ck
         tmp = scratch[:size]
         np.multiply(ba, ck, out=tmp)
         np.add(fa, tmp, out=f_next[:size])
@@ -99,8 +100,8 @@ def _steps(f: np.ndarray, b: np.ndarray, p, start: int, max_order: int):
         f, f_next = f_next, f
 
 
-def _fast_steps(x: np.ndarray, p0, max_order: int):
-    """Vos's fast Burg: the lattice's ``(p_{k+1}, c_k)`` without its error sequences.
+def _fast_steps(x: np.ndarray, max_order: int):
+    """Vos's fast Burg: the lattice's c_k without its error sequences.
 
     K. Vos, "A Fast Implementation of Burg's Method" (2013). With a = the
     order-k filter, a' = [a, 0] and J the reversal, Burg's c_k is
@@ -109,9 +110,11 @@ def _fast_steps(x: np.ndarray, p0, max_order: int):
     loses two samples per order, so g and Psi's first row r follow from one
     order to the next by O(k) updates, and the row's new last lag is twice
     the autocovariance.
+
+    At the first order k the guard refuses, the generator returns the
+    order-k filter it reached; it returns None once it has yielded every order.
     """
     n = x.shape[0]
-    p = p0
     acov = _autocovariance(x, max_order)
     xr = x[::-1].copy()  # xr[n-1-t] = x[t]: reversed runs of x as contiguous slices
     a = np.ones(1)
@@ -123,21 +126,14 @@ def _fast_steps(x: np.ndarray, p0, max_order: int):
         den = a @ g[:-1]  # the forward plus backward error energy of order k
         if den > 0.0:
             ck = min(max(-(a @ g[:0:-1]) / den, -1.0), 1.0)
-            shrink = 1.0 - ck * ck
-        # den and c come from sums of size ``scale`` by cancellation: once
-        # the power or the error energy would fall below the guard ratio of
-        # its order-0 value, the lattice computes this order and the rest,
-        # from the errors of the order-k filter
-        if not (den > 0.0 and p * shrink >= FAST_BURG_GUARD_RATIO * p0
-                and den * shrink >= FAST_BURG_GUARD_RATIO * scale):
-            f = np.convolve(x, a, "valid")
-            b = np.convolve(x, a[::-1], "valid")
-            yield from _steps(f, b, p, k, max_order)
-            return
-        p = p * shrink
-        yield p, ck
+        # den and c come from sums of size ``scale`` by cancellation: the
+        # guard refuses an order whose error energy would fall below the
+        # guard ratio of that size
+        if not (den > 0.0 and den * (1.0 - ck * ck) >= FAST_BURG_GUARD_RATIO * scale):
+            return a
+        yield ck
         if k + 1 == max_order:
-            return
+            return None
         # order k+1 drops x_{k+1} from the forward sums and x_{n-k-2} from
         # the backward ones: u and v are the rows of x those samples start
         g = g + ck * g[::-1]
@@ -150,6 +146,19 @@ def _fast_steps(x: np.ndarray, p0, max_order: int):
         g = np.append(g, a @ r[k + 1 :: -1])
 
 
+def _fast_then_lattice(x: np.ndarray, max_order: int):
+    """c_k by fast Burg, then by the lattice from the order its guard refuses.
+
+    The lattice resumes from the errors of the filter fast Burg reached,
+    whose order ``a.size - 1`` is the handover order.
+    """
+    a = yield from _fast_steps(x, max_order)
+    if a is not None:
+        f = np.convolve(x, a, "valid")
+        b = np.convolve(x, a[::-1], "valid")
+        yield from _steps(f, b, a.size - 1, max_order)
+
+
 def fit(
     ts: TimeSeries,
     max_order: int,
@@ -160,7 +169,8 @@ def fit(
     """Run Burg's recursion on ``ts`` up to ``max_order``.
 
     The trace holds the powers and reflection coefficients only; each
-    order's coefficient vector is rebuilt from them on demand.
+    order's coefficient vector is rebuilt from them on demand. The power
+    follows p_{k+1} = p_k (1 - c_k^2) on both paths.
 
     With a ``criterion``, its order-selection scan reads the orders as they
     are computed, and the recursion stops where the scan stops: the trace
@@ -168,8 +178,10 @@ def fit(
     ``select_order(trace, criterion)`` returns. It equals the scan of the
     full trace with the same ``patience`` (``scan_orders``);
     ``patience=None`` is ``default_patience(max_order, criterion)``.
-    A ``DegenerateModelError`` is raised for a zero-variance series and for
-    orders the recursion computes, and a loss undefined at every order raises
+    A ``DegenerateModelError`` is raised for a zero-variance series and,
+    once the recursion is asked for it, for an order whose prediction errors
+    vanish: on both paths the order after one of exactly zero power, which
+    predicts the series exactly. A loss undefined at every order raises
     ``UndefinedLossError`` here rather than in ``select_order``.
     """
     n = len(ts)
@@ -184,18 +196,20 @@ def fit(
     if p0 == 0.0:
         raise DegenerateModelError("zero-variance input")
     if n >= FAST_BURG_MIN_N:
-        steps = _fast_steps(x, p0, max_order)
+        steps = _fast_then_lattice(x, max_order)
     else:
-        steps = _steps(x.copy(), x.copy(), p0, 0, max_order)
+        steps = _steps(x.copy(), x.copy(), 0, max_order)
     p, c = [p0], []
 
     def orders():
         """``(m, p_m, c_{m-1})`` from order 0, each order recorded as it is computed."""
         yield 0, p0, None
-        for pk, ck in steps:
-            p.append(pk)
+        for ck in steps:
+            p.append(p[-1] * (1.0 - ck * ck))
             c.append(ck)
-            yield len(c), pk, ck
+            yield len(c), p[-1], ck
+            if p[-1] == 0.0 and len(c) < max_order:
+                raise DegenerateModelError(f"prediction errors vanished at order {len(c)}")
 
     selection = None
     if criterion is None:

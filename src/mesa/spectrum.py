@@ -48,8 +48,9 @@ def _denominator_fft(a: np.ndarray, n_pos: int) -> np.ndarray:
         # rfft would drop the terms past nfft: at these frequencies the DFT
         # of ``a`` is that of ``a`` folded modulo nfft
         a = np.pad(a, (0, -a.size % nfft)).reshape(-1, nfft).sum(axis=0)
-    spec = np.fft.rfft(a, nfft)[:n_pos]
-    return np.abs(spec) ** 2
+    den = np.abs(np.fft.rfft(a, nfft))
+    den *= den
+    return den
 
 
 def _denominator_direct(a: np.ndarray, freqs: np.ndarray, dt: float) -> np.ndarray:
@@ -64,10 +65,11 @@ def _denominator_direct(a: np.ndarray, freqs: np.ndarray, dt: float) -> np.ndarr
 
 
 def _is_canonical_positive(freqs: np.ndarray, ny: float) -> bool:
-    if freqs.size < 2 or freqs[0] != 0.0:
+    if freqs.size < 2 or freqs[0] != 0.0 or freqs[-1] != ny:
         return False
     ref = np.linspace(0.0, ny, freqs.size)
-    return freqs[-1] == ny and bool(np.all(np.abs(freqs - ref) <= 1e-12 * ny))
+    ref -= freqs
+    return bool(np.abs(ref, out=ref).max() <= 1e-12 * ny)
 
 
 def psd(model: ArModel, freqs: np.ndarray | None = None) -> SpectralDensity:
@@ -86,7 +88,8 @@ def psd(model: ArModel, freqs: np.ndarray | None = None) -> SpectralDensity:
     if freqs is None:
         freqs = frequency_grid(default_grid_size(model.order), model.dt)
     freqs = np.asarray(freqs, dtype=np.float64)
-    if np.any(np.abs(freqs) > ny * (1 + 1e-12)):
+    bound = ny * (1 + 1e-12)
+    if freqs.size and (freqs.min() < -bound or freqs.max() > bound):
         raise ValidationError("frequency outside the Nyquist band")
 
     if _is_canonical_positive(freqs, ny):
@@ -101,8 +104,11 @@ def psd(model: ArModel, freqs: np.ndarray | None = None) -> SpectralDensity:
         den = np.concatenate([half[:0:-1], half])
     else:
         den = _denominator_direct(model.a, freqs, model.dt)
+    # the density is formed in the denominator's buffer and sealed, so
+    # SpectralDensity keeps it without a copy
     with np.errstate(divide="ignore", invalid="ignore"):
-        values = model.p_m * model.dt / den
+        values = np.divide(model.p_m * model.dt, den, out=den)
+    values.flags.writeable = False
     if not (np.isfinite(values).all() and (values > 0.0).all()):
         raise DegenerateModelError(
             "the model's density is not finite and positive: the series is perfectly "

@@ -71,7 +71,7 @@ def reflection_yule_walker(a: np.ndarray, r: np.ndarray, p: float) -> float:
 
 
 def _levinson_steps(r: np.ndarray, p, max_order: int):
-    """Yield ``(p_{k+1}, c_k)`` of the Levinson recursion on ``r``, as Burg's ``_steps``."""
+    """Yield ``(p_{k+1}, c_k)`` of the Levinson recursion on ``r``."""
     a = np.ones(1)
     for _ in range(max_order):
         ck = float(np.clip(reflection_yule_walker(a, r, p), -1.0, 1.0))

@@ -427,13 +427,11 @@ def test_estimate_psd_on_grid_coarser_than_order(tmp_path):
     np.testing.assert_allclose(coarse[:, 1], fine[on_coarse, 1], rtol=1e-9)
 
 
-@pytest.mark.parametrize("n,message", [
-    (4096, "prediction errors vanished at order 40"),
-    (16424, "the model's density is not finite and positive"),
-], ids=["lattice", "fast-burg"])
-def test_estimate_exactly_periodic_series_exit_code(tmp_path, capsys, n, message):
-    # an impulse every 40 samples is predicted exactly at order 40: the lattice
-    # finds its errors vanish there, fast Burg fits on and the PSD is not finite
+@pytest.mark.parametrize("n", [4096, 16424], ids=["lattice", "fast-burg"])
+def test_estimate_exactly_periodic_series_exit_code(tmp_path, capsys, n):
+    # an impulse every 40 samples is predicted exactly at order 40: its power
+    # is zero there on both paths, and the fit ends when order 41 is asked for
+    message = "prediction errors vanished at order 40"
     x = np.zeros(n)
     x[::40] = 714660.0
     path = tmp_path / "impulses.csv"

@@ -8,6 +8,7 @@ from mesa.estimator import (
     FAST_BURG_GUARD_RATIO,
     FAST_BURG_MIN_N,
     _fast_steps,
+    _fast_then_lattice,
     _steps,
     fit,
 )
@@ -24,7 +25,7 @@ def drain(x, max_order):
 def lattice(x, max_order):
     """The lattice's generator on ``x`` from order 0, as ``fit`` starts it."""
     x = np.asarray(x, dtype=np.float64)
-    return _steps(x.copy(), x.copy(), x @ x / x.size, 0, max_order)
+    return _steps(x.copy(), x.copy(), 0, max_order)
 
 
 def plain_lattice(x, max_order):
@@ -61,24 +62,35 @@ def test_perfectly_predictable_raises():
     # alternating signal: errors vanish after the first stage, and the
     # error surfaces only when the next order is asked for
     steps = lattice([1.0, -1.0] * 8, 4)
-    assert next(steps) == (0.0, 1.0)
+    assert next(steps) == 1.0
     with pytest.raises(DegenerateModelError):
         next(steps)
+    assert fit(TimeSeries(np.array([1.0, -1.0] * 8), 1.0), 1).p[1] == 0.0
 
 
 def test_constant_series_reflects_fully():
     # equal forward and backward errors give c = -1 and zero power; both
     # errors then vanish, so the next order is degenerate
     steps = lattice(np.full(8, 0.7), 4)
-    assert next(steps) == (0.0, -1.0)
+    assert next(steps) == -1.0
     with pytest.raises(DegenerateModelError):
         next(steps)
+    assert fit(TimeSeries(np.full(8, 0.7), 1.0), 1).p[1] == 0.0
+
+
+def test_errors_vanish_at_positive_power():
+    # order 1 keeps the power of order 0, but its errors at the one sample
+    # order 2 would use are both zero: the lattice itself finds them vanish
+    ts = TimeSeries(np.array([0.0, 1.0, 0.0]), 1.0)
+    assert fit(ts, 1).p[1] == pytest.approx(1.0 / 3.0)
+    with pytest.raises(DegenerateModelError, match="vanished at order 1"):
+        fit(ts, 2)
 
 
 def test_orthogonal_errors_reflect_nothing():
     # the first forward errors (1, -1) and backward errors (1, 1) are orthogonal
     x = np.array([1.0, 1.0, -1.0])
-    assert next(lattice(x, 1)) == (x @ x / 3, 0.0)
+    assert next(lattice(x, 1)) == 0.0
 
 
 def test_powers_non_increasing_and_reflections_bounded():
@@ -129,9 +141,25 @@ def fast_input(name):
     return 1e6 + sine + 1e-6 * rng.standard_normal(FAST_N)
 
 
-def drain_steps(steps):
-    pairs = list(steps)
-    return np.array([p for p, _ in pairs]), np.array([c for _, c in pairs])
+def drain_steps(steps, p0):
+    """The powers p_1.. and reflections of a stepper drained to its end.
+
+    The powers are chained from ``p0`` as ``fit`` chains them.
+    """
+    p, c = [p0], list(steps)
+    for ck in c:
+        p.append(p[-1] * (1.0 - ck * ck))
+    return np.array(p[1:]), np.array(c)
+
+
+def fast_run(x, max_order):
+    """The reflections fast Burg yields and the filter it hands over, or None."""
+    steps, c = _fast_steps(x, max_order), []
+    while True:
+        try:
+            c.append(next(steps))
+        except StopIteration as stop:
+            return np.array(c), stop.value
 
 
 @pytest.mark.parametrize("name", ["white", "three-peak", "random-ar-3", "random-ar-8",
@@ -141,23 +169,28 @@ def test_fast_burg_matches_lattice(name):
     m = 600
     p_ref, c_ref = plain_lattice(x, m)
     p0 = p_ref[0]
-    p, c = drain_steps(_fast_steps(x, p0, m))
+    p, c = drain_steps(_fast_then_lattice(x, m), p0)
     held = p_ref[1:] >= FAST_MIN_P_RATIO * p0
     assert np.max(np.abs(c - c_ref)[held], initial=0.0) <= FAST_TOL
     assert np.max((np.abs(p - p_ref[1:]) / p_ref[1:])[held], initial=0.0) <= FAST_TOL
     assert np.all(np.abs(c) <= 1.0) and np.all(np.diff(p) <= 0.0)
 
-    # the lattice computes the first order whose power is below the guard, and
-    # the rest, from the errors of the filter the fast recursion reached
+    # fast Burg refuses an order no later than the first whose power is below
+    # the guard; the lattice computes that order and the rest, from the errors
+    # of the filter the fast recursion reached
+    c_fast, a = fast_run(x, m)
+    k = m if a is None else a.size - 1
+    assert k == c_fast.size and c_fast.tobytes() == c[:k].tobytes()
     low = np.flatnonzero(p < FAST_BURG_GUARD_RATIO * p0)
-    assert (low.size > 0) == (name == "sine-noise-1e-6-offset")
-    if low.size:
-        k = low[0]
-        a = np.ones(1)
+    assert not low.size or k <= low[0]
+    assert k == (0 if name == "sine-noise-1e-6-offset" else m)
+    if k < m:
+        a_ref = np.ones(1)
         for ck in c[:k]:
-            a = _levinson_update(a, ck)
-        f, b = np.convolve(x, a, "valid"), np.convolve(x, a[::-1], "valid")
-        p_tail, c_tail = drain_steps(_steps(f, b, p[k - 1] if k else p0, k, m))
+            a_ref = _levinson_update(a_ref, ck)
+        assert a.tobytes() == a_ref.tobytes()
+        f, b = np.convolve(x, a_ref, "valid"), np.convolve(x, a_ref[::-1], "valid")
+        p_tail, c_tail = drain_steps(_steps(f, b, k, m), p[k - 1] if k else p0)
         assert p[k:].tobytes() == p_tail.tobytes()
         assert c[k:].tobytes() == c_tail.tobytes()
 
@@ -168,9 +201,12 @@ def test_fast_burg_hands_over_where_few_samples_remain():
     n = 8192
     x = np.random.default_rng(1).standard_normal(n)
     p_ref, c_ref = plain_lattice(x, n - 1)
-    p, c = drain_steps(_fast_steps(x, p_ref[0], n - 1))
+    p, c = drain_steps(_fast_then_lattice(x, n - 1), p_ref[0])
     assert np.max(np.abs(c - c_ref)) <= 1e-4
     assert np.max(np.abs(p - p_ref[1:]) / p_ref[1:]) <= 1e-4
+    # the lattice computes the last 19 orders, where 20 or fewer samples remain
+    _, a = fast_run(x, n - 1)
+    assert a.size - 1 == 8172
 
 
 def test_dispatch_depends_on_length_alone():
@@ -180,10 +216,22 @@ def test_dispatch_depends_on_length_alone():
         xn = x[:n]
         p0 = xn @ xn / n
         for m in (1, 50):
-            by_lattice = drain_steps(lattice(xn, m))
-            by_fast = drain_steps(_fast_steps(xn, p0, m))
+            by_lattice = drain_steps(lattice(xn, m), p0)
+            by_fast = drain_steps(_fast_then_lattice(xn, m), p0)
             p, c = by_fast if fast else by_lattice
             trace = fit(TimeSeries(xn, 1.0), m)
             assert trace.p.tobytes() == np.r_[p0, p].tobytes()
             assert trace.c.tobytes() == c.tobytes()
         assert by_lattice[1].tobytes() != by_fast[1].tobytes()
+
+
+@pytest.mark.parametrize("n", [FAST_BURG_MIN_N - 1, FAST_BURG_MIN_N + 40],
+                         ids=["lattice", "fast-burg"])
+@pytest.mark.parametrize("period", [2, 3, 7, 40, 97])
+def test_exactly_periodic_series_ends_at_its_period(n, period):
+    # an impulse train is predicted exactly at order ``period``: p is 0 there
+    # on both paths, and the next order is degenerate
+    x = np.zeros(n)
+    x[::period] = 714660.0
+    with pytest.raises(DegenerateModelError, match=f"vanished at order {period}$"):
+        fit(TimeSeries(x, 1.0), 300)

@@ -13,7 +13,7 @@ from mesa.core import ArModel, Criterion, DegenerateModelError, TimeSeries, Unde
 from mesa.estimator import (
     FAST_BURG_GUARD_RATIO,
     FAST_BURG_MIN_N,
-    _fast_steps,
+    _fast_then_lattice,
     _steps,
     fit,
     reflection_coefficients,
@@ -50,16 +50,19 @@ def long_series(draw):
 series = st.one_of(hnp.arrays(np.float64, st.integers(4, 400), elements=values), long_series())
 
 
-def drain(steps):
-    """The powers and reflections a stepper yields before it ends or finds a degenerate order."""
-    p, c = [], []
+def drain(steps, p0):
+    """The powers and reflections of a stepper before it ends or finds a degenerate order.
+
+    The powers are chained from ``p0`` as ``fit`` chains them.
+    """
+    p, c = [p0], []
     try:
-        for pk, ck in steps:
-            p.append(pk)
+        for ck in steps:
+            p.append(p[-1] * (1.0 - ck * ck))
             c.append(ck)
     except DegenerateModelError:
         pass
-    return np.array(p), np.array(c)
+    return np.array(p[1:]), np.array(c)
 
 
 @given(series, st.integers(1, 500), st.sampled_from(list(Criterion)))
@@ -101,8 +104,8 @@ def test_fast_burg_matches_lattice(x, m):
     p0 = x @ x / len(x)
     if p0 == 0.0:
         return
-    p_ref, c_ref = drain(_steps(x.copy(), x.copy(), p0, 0, m))
-    p, c = drain(_fast_steps(x, p0, m))
+    p_ref, c_ref = drain(_steps(x.copy(), x.copy(), 0, m), p0)
+    p, c = drain(_fast_then_lattice(x, m), p0)
     k = min(len(p), len(p_ref))
     p, c, p_ref, c_ref = p[:k], c[:k], p_ref[:k], c_ref[:k]
     held = p_ref >= MIN_P_RATIO * p0

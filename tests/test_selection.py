@@ -386,3 +386,14 @@ def test_stopped_fit_skips_degenerate_orders_it_never_reads():
     trace = fit(ts, 4, criterion="obd")
     assert trace.max_order == 1 and trace.p[1] == 0.0
     assert select_order(trace, "obd").chosen_order == 0
+
+    # the same on fast Burg: an impulse every 40 samples has zero power at
+    # order 40, where OBD's scan ends and FPE's reads on into order 41
+    x = np.zeros(FAST_BURG_MIN_N + 40)
+    x[::40] = 714660.0
+    ts = TimeSeries(x, dt=1.0)
+    trace = fit(ts, 300, criterion="obd")
+    assert trace.max_order == 40 and trace.p[40] == 0.0
+    assert select_order(trace, "obd").chosen_order == 0
+    with pytest.raises(DegenerateModelError, match="vanished at order 40$"):
+        fit(ts, 300, criterion="fpe")

@@ -129,6 +129,22 @@ def test_direct_route_memory_is_bounded_at_high_order():
     np.testing.assert_allclose(values[::512], direct_psd_oracle(model, freqs[::512]), rtol=1e-12)
 
 
+def test_fft_route_memory_is_a_few_results():
+    model = ArModel(a=[1.0, -0.9, 0.5], p_m=1.0, dt=1.0)
+    freqs = frequency_grid(2**20 + 1, 1.0)
+    tracemalloc.start()
+    try:
+        sd = psd(model, freqs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the result is 8.4 MB and the FFT's complex output 16.8 MB; the density
+    # is formed in the magnitude buffer and kept by SpectralDensity uncopied
+    assert peak < 32e6
+    np.testing.assert_allclose(sd.values[::65536], direct_psd_oracle(model, freqs[::65536]),
+                               rtol=1e-12)
+
+
 def test_psd_default_grid():
     model = ArModel(a=[1.0, -0.5], p_m=1.0, dt=1.0)
     sd = psd(model)
