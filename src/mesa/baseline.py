@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from mesa.core import Sided, SpectralDensity, TimeSeries, ValidationError
+from mesa.core import SpectralDensity, TimeSeries, ValidationError
 
 # segment lengths used by the qualitative comparison presets
 SEGMENT_PRESETS = (512, 1024, 2048, 8192, 32768)
@@ -34,12 +34,15 @@ def welch_psd(
     window: np.ndarray,
     detrend: bool = False,
 ) -> SpectralDensity:
-    """One-sided Welch estimate: averaged |DFT(window * segment)|^2 dt / sum(w^2).
+    """Welch estimate: averaged |DFT(window * segment)|^2 dt / sum(w^2).
 
-    The hop is floor(segment_len * (1 - overlap_fraction)); a trailing
-    partial segment is dropped. ``tukey_window(segment_len, 0.0)`` is the
-    rectangular window; segment means are subtracted only when ``detrend``
-    is set.
+    It is tabulated on the segment's non-negative DFT frequencies, in the
+    package's one density convention (see :mod:`mesa.core`): the power at
+    -f is not folded onto f. The hop is floor(segment_len * (1 -
+    overlap_fraction)); a trailing partial segment is dropped.
+    ``tukey_window(segment_len, 0.0)`` is the rectangular window; segment
+    means are subtracted only when ``detrend`` is set. A window with no
+    energy (``tukey_window(2, alpha)`` for any alpha > 0) is refused.
     """
     x = np.asarray(ts.samples, dtype=np.float64)
     n = x.size
@@ -52,6 +55,9 @@ def welch_psd(
     window = np.asarray(window, dtype=np.float64)
     if window.size != segment_len:
         raise ValidationError("window length must equal segment_len")
+    energy = float(window @ window)
+    if not (np.isfinite(energy) and energy > 0.0):
+        raise ValidationError(f"the window's energy sum(w^2) must be finite and > 0, got {energy}")
     hop = int(segment_len * (1.0 - overlap_fraction))
     if hop < 1:
         raise ValidationError("overlap too large: hop would be zero")
@@ -61,11 +67,5 @@ def welch_psd(
     if detrend:
         segments = segments - segments.mean(axis=1, keepdims=True)
     spec = np.fft.rfft(window * segments, axis=1)
-    power = np.mean(np.abs(spec) ** 2, axis=0) * ts.dt / float(window @ window)
-    # one-sided: double everything except DC and (for even lengths) Nyquist
-    scale = np.full(power.size, 2.0)
-    scale[0] = 1.0
-    if segment_len % 2 == 0:
-        scale[-1] = 1.0
-    freqs = np.fft.rfftfreq(segment_len, ts.dt)
-    return SpectralDensity(freqs=freqs, values=power * scale, sided=Sided.ONE_SIDED)
+    power = np.mean(np.abs(spec) ** 2, axis=0) * ts.dt / energy
+    return SpectralDensity(freqs=np.fft.rfftfreq(segment_len, ts.dt), values=power)

@@ -171,24 +171,34 @@ def _load_model(path) -> ArModel:
         raise ValidationError(f"{path}: not an AR model JSON: {exc!r}") from exc
 
 
-def _emit_psd(path, sd: SpectralDensity, sided: Sided) -> None:
-    out = spectrum.to_one_sided(sd) if sided is Sided.ONE_SIDED else sd
-    _io.write_psd_csv(path, out)
+def _emit_psd(path, sd: SpectralDensity, sided: Sided, dt: float) -> None:
+    """Write a density on [0, Nyquist] to CSV, folded to one side if asked.
+
+    The fold doubles every bin strictly inside (0, Nyquist). Nyquist comes
+    from ``dt``, not from the grid: an odd-length DFT grid ends below it.
+    The tolerance keeps an even length's last bin undoubled when it falls
+    an ulp below 1/(2 dt), as ``rfftfreq(100, 0.007)[-1]`` does.
+    """
+    if sided is Sided.ONE_SIDED:
+        f = sd.freqs
+        inside = (f > 0.0) & (f < (1.0 - 1e-12) / (2.0 * dt))
+        sd = SpectralDensity(freqs=f, values=np.where(inside, 2.0 * sd.values, sd.values))
+    _io.write_psd_csv(path, sd)
 
 
 def cmd_estimate(args) -> int:
     ts = _io.read_timeseries(args.infile, dt=args.dt, binary=args.binary)
+    grid = None
+    if args.n_freqs is not None:
+        grid = spectrum.frequency_grid(args.n_freqs, ts.dt)
     if args.demean:
         ts = TimeSeries(samples=ts.samples - ts.samples.mean(), dt=ts.dt)
     max_order = args.max_order if args.max_order is not None else selection.max_order(len(ts))
     trace = fit(ts, max_order, criterion=args.criterion, patience=args.patience)
     sel = selection.select_order(trace, args.criterion)
     model = trace.model(sel.chosen_order)
-    grid = None
-    if args.n_freqs is not None:
-        grid = spectrum.frequency_grid(args.n_freqs, ts.dt, Sided.ONE_SIDED)
     sd = spectrum.psd(model, grid)
-    _emit_psd(f"{args.out_prefix}_psd.csv", sd, Sided(args.sided))
+    _emit_psd(f"{args.out_prefix}_psd.csv", sd, Sided(args.sided), ts.dt)
     _io.write_json(f"{args.out_prefix}_model.json", model.to_dict())
     _io.write_json(f"{args.out_prefix}_selection.json", sel.to_dict())
     return 0
@@ -241,7 +251,7 @@ def cmd_welch(args) -> int:
     ts = _io.read_timeseries(args.infile, dt=args.dt, binary=args.binary)
     window = baseline.tukey_window(args.segment, args.tukey)
     sd = baseline.welch_psd(ts, args.segment, args.overlap, window, detrend=args.detrend)
-    _io.write_psd_csv(args.out, sd)
+    _emit_psd(args.out, sd, Sided.ONE_SIDED, ts.dt)
     return 0
 
 
@@ -249,9 +259,6 @@ def cmd_compare(args) -> int:
     n = int(round(args.duration * args.fs))
     if n < 2 or n % 2:
         raise ValidationError(f"duration*fs must be an even sample count, got {n}")
-    if args.segment % 2:
-        # the one-sided folds take the last bin of the grid as Nyquist
-        raise ValidationError(f"--segment must be even, got {args.segment}")
     dt = 1.0 / args.fs
     target = _io.read_tabulated_psd(args.psd, args.psd_interp)
     ts = synth.generate_from_psd(target, n, dt, args.seed)
@@ -265,12 +272,12 @@ def cmd_compare(args) -> int:
     welch_sd = baseline.welch_psd(ts, args.segment, args.overlap, window)
     grid = welch_sd.freqs
     mesa_sd = spectrum.psd(model, grid)
-    truth = SpectralDensity(freqs=grid, values=target(grid), sided=Sided.TWO_SIDED)
+    truth = SpectralDensity(freqs=grid, values=target(grid))
     mesa_err = validate.relative_error_freq_avg(mesa_sd, truth)
-    welch_err = validate.relative_error_freq_avg(spectrum.to_two_sided(welch_sd), truth)
+    welch_err = validate.relative_error_freq_avg(welch_sd, truth)
 
-    _emit_psd(f"{args.out_prefix}_mesa_psd.csv", mesa_sd, Sided.ONE_SIDED)
-    _io.write_psd_csv(f"{args.out_prefix}_welch_psd.csv", welch_sd)
+    _emit_psd(f"{args.out_prefix}_mesa_psd.csv", mesa_sd, Sided.ONE_SIDED, dt)
+    _emit_psd(f"{args.out_prefix}_welch_psd.csv", welch_sd, Sided.ONE_SIDED, dt)
     _io.write_json(
         f"{args.out_prefix}_metrics.json",
         {

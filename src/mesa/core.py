@@ -6,8 +6,10 @@ Conventions (used everywhere, never re-negotiated downstream):
   ``a[0] == 1``; the autoregressive coefficients are ``b_i = -a_i``.
 * ``p_m`` is the time-domain prediction-error power (signal units squared);
   the sampling interval enters only the spectral density normalization.
-* Spectral densities are canonically two-sided (units signal^2/Hz); the
-  one-sided form doubles values strictly inside (0, Nyquist).
+* Every :class:`SpectralDensity` is two-sided (units signal^2/Hz), even
+  when it is tabulated on [0, Nyquist] only. The one-sided form, which
+  doubles values strictly inside (0, Nyquist), exists only as a CLI output
+  format.
 
 All types are immutable after construction and validate their invariants
 eagerly, raising :class:`ValidationError` naming the violated constraint.
@@ -41,7 +43,7 @@ class GenerationError(SpectralError):
 
 
 class Sided(enum.Enum):
-    """Normalization convention of a spectral density."""
+    """The part of the band a frequency grid spans, or the form a PSD file is written in."""
 
     TWO_SIDED = "two_sided"
     ONE_SIDED = "one_sided"
@@ -223,29 +225,24 @@ class RecursionTrace:
 
 @dataclass(frozen=True, eq=False)
 class SpectralDensity:
-    """Tabulated power spectral density on a frequency grid.
+    """Two-sided power spectral density tabulated on a frequency grid.
 
-    ``sided`` records the normalization convention of ``values`` (see module
-    docstring); a two-sided density may be tabulated on the positive half
-    of its symmetric grid.
+    The grid may cover [-Nyquist, Nyquist] or only its non-negative half;
+    either way ``values`` are two-sided (see module docstring).
     """
 
     freqs: np.ndarray
     values: np.ndarray
-    sided: Sided
 
     def __post_init__(self):
         object.__setattr__(self, "freqs", _readonly(self.freqs))
         object.__setattr__(self, "values", _readonly(self.values))
-        object.__setattr__(self, "sided", Sided(self.sided))
         _require(self.freqs.ndim == 1 and self.freqs.size >= 1, "freqs must be a non-empty vector")
         _require(self.values.shape == self.freqs.shape, "freqs and values must have equal length")
         _require(_finite(self.freqs), "frequencies must be finite")
         _require(_finite(self.values), "PSD values must be finite")
         _require(bool((np.diff(self.freqs) > 0).all()), "frequencies must be strictly increasing")
         _require(bool((self.values >= 0).all()), "PSD values must be non-negative")
-        if self.sided is Sided.ONE_SIDED:
-            _require(self.freqs[0] >= 0, "one-sided density requires non-negative frequencies")
 
     def __len__(self) -> int:
         return int(self.freqs.size)

@@ -1,10 +1,11 @@
-"""MESA spectral density evaluation and one-sided <-> two-sided conversion.
+"""MESA spectral density evaluation.
 
 The density of an :class:`~mesa.core.ArModel` is
 
     S(f) = p_m * dt / |sum_s a_s exp(i 2 pi f s dt)|^2,
 
 a two-sided density over [-Nyquist, Nyquist], even in f for real models.
+It stays two-sided on the default grid, which covers [0, Nyquist] only.
 """
 from __future__ import annotations
 
@@ -37,7 +38,7 @@ def frequency_grid(n_freqs: int, dt: float, sided: Sided | str = Sided.ONE_SIDED
 
 
 def default_grid_size(order: int) -> int:
-    """Default one-sided grid resolution: 4*max(order, 256) + 1 points."""
+    """Default resolution of the grid on [0, Nyquist]: 4*max(order, 256) + 1 points."""
     return 4 * max(order, 256) + 1
 
 
@@ -75,7 +76,7 @@ def _is_canonical_positive(freqs: np.ndarray, ny: float) -> bool:
 def psd(model: ArModel, freqs: np.ndarray | None = None) -> SpectralDensity:
     """Evaluate the model's two-sided spectral density on ``freqs``.
 
-    ``freqs=None`` uses the default one-sided grid. On the canonical
+    ``freqs=None`` uses the default grid on [0, Nyquist]. On the canonical
     equally-spaced grid the denominator comes from a zero-padded DFT of the
     coefficient vector, of any length against the order; elsewhere it is
     summed directly. Both routes agree to 1e-12 of (sum_s |a_s|)^2, the
@@ -114,35 +115,4 @@ def psd(model: ArModel, freqs: np.ndarray | None = None) -> SpectralDensity:
             "the model's density is not finite and positive: the series is perfectly "
             "predictable to working precision"
         )
-    return SpectralDensity(freqs=freqs, values=values, sided=Sided.TWO_SIDED)
-
-
-def to_one_sided(sd: SpectralDensity) -> SpectralDensity:
-    """Fold a two-sided density to the one-sided convention.
-
-    Values strictly inside (0, max frequency) are doubled, so the grid's last
-    point must be the Nyquist frequency, as on an even-length DFT's grid.
-    """
-    if sd.sided is Sided.ONE_SIDED:
-        return sd
-    freqs = sd.freqs
-    values = sd.values
-    if freqs[0] < 0:
-        keep = freqs >= 0
-        freqs = freqs[keep]
-        values = values[keep]
-    scale = np.where((freqs > 0) & (freqs < freqs[-1]), 2.0, 1.0)
-    return SpectralDensity(freqs=freqs, values=values * scale, sided=Sided.ONE_SIDED)
-
-
-def to_two_sided(sd: SpectralDensity) -> SpectralDensity:
-    """Inverse of :func:`to_one_sided` on the non-negative grid.
-
-    The grid's last point must be the Nyquist frequency, as on an
-    even-length DFT's grid: it is never halved.
-    """
-    if sd.sided is Sided.TWO_SIDED:
-        return sd
-    freqs = sd.freqs
-    scale = np.where((freqs > 0) & (freqs < freqs[-1]), 0.5, 1.0)
-    return SpectralDensity(freqs=freqs, values=sd.values * scale, sided=Sided.TWO_SIDED)
+    return SpectralDensity(freqs=freqs, values=values)

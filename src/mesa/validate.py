@@ -13,7 +13,7 @@ import numpy as np
 
 from mesa import selection, spectrum
 from mesa._rng import derive_seed
-from mesa.core import Criterion, Sided, SpectralDensity, ValidationError
+from mesa.core import Criterion, SpectralDensity, ValidationError
 from mesa.estimator import fit
 from mesa.selection import select_order
 from mesa.synth import generate_ar, generate_from_psd, random_ar_model
@@ -26,20 +26,6 @@ def relative_error_freq_avg(estimate: SpectralDensity, truth: SpectralDensity) -
     if (truth.values <= 0).any():
         raise ValidationError("truth PSD must be strictly positive")
     return float(np.mean(np.abs(estimate.values - truth.values) / truth.values))
-
-
-def relative_error_ensemble(estimates, truth: SpectralDensity) -> SpectralDensity:
-    """Per-frequency mean relative deviation over an ensemble of estimates."""
-    if not estimates:
-        raise ValidationError("need at least one estimate")
-    if (truth.values <= 0).any():
-        raise ValidationError("truth PSD must be strictly positive")
-    acc = np.zeros(truth.freqs.size)
-    for est in estimates:
-        if not np.array_equal(est.freqs, truth.freqs):
-            raise ValidationError("all estimates must share the truth's frequency grid")
-        acc += np.abs(est.values - truth.values) / truth.values
-    return SpectralDensity(freqs=truth.freqs, values=acc / len(estimates), sided=truth.sided)
 
 
 def gaussian_bump(mu: float, sigma: float):
@@ -95,14 +81,14 @@ def run_gaussian_experiment(
     scores the model PSD against the analytic curve on a fixed grid. The
     ensemble statistics are running sums over the realizations, so memory
     does not grow with ``n_realizations``; they equal ``np.mean`` of the
-    stacked PSDs and ``relative_error_ensemble`` of the estimates.
+    stacked PSDs and of the stacked per-frequency relative errors.
     """
     if n_realizations < 1:
         raise ValidationError("need at least one realization")
     criterion = Criterion(criterion)
     curve = gaussian_bump(mu, sigma)
-    grid = spectrum.frequency_grid(n_freqs, dt, Sided.ONE_SIDED)
-    truth = SpectralDensity(freqs=grid, values=curve(grid), sided=Sided.TWO_SIDED)
+    grid = spectrum.frequency_grid(n_freqs, dt)
+    truth = SpectralDensity(freqs=grid, values=curve(grid))
     if (truth.values <= 0).any():
         raise ValidationError("truth PSD must be strictly positive")
     m_max = selection.max_order(n_samples)
@@ -122,10 +108,8 @@ def run_gaussian_experiment(
     return GaussianExperimentResult(
         criterion=criterion,
         records=tuple(records),
-        mean_psd=SpectralDensity(freqs=truth.freqs, values=psd_sum / n_realizations,
-                                 sided=Sided.TWO_SIDED),
-        error_curve=SpectralDensity(freqs=truth.freqs, values=error_sum / n_realizations,
-                                    sided=truth.sided),
+        mean_psd=SpectralDensity(freqs=truth.freqs, values=psd_sum / n_realizations),
+        error_curve=SpectralDensity(freqs=truth.freqs, values=error_sum / n_realizations),
     )
 
 

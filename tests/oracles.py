@@ -1,16 +1,18 @@
-"""The Yule-Walker route and the PSD -> autocorrelation integrator.
+"""The Yule-Walker route, the PSD -> autocorrelation integrator and the
+stacked ensemble error.
 
 ``mesa`` estimates by Burg's recursion alone. The literal Levinson-Durbin
 solve of the Yule-Walker (Toeplitz normal) equations on an autocorrelation
 sequence, and the quadrature that recovers an autocorrelation from a
-density, serve the tests as cross-check oracles for that route.
+density, serve the tests as cross-check oracles for that route. The
+per-frequency relative error of a list of estimates is the reference for
+the Gaussian harness's running sums.
 """
 import numpy as np
 
 from mesa.core import (
     DegenerateModelError,
     RecursionTrace,
-    Sided,
     SpectralDensity,
     SpectralError,
     TimeSeries,
@@ -107,13 +109,11 @@ def fit_from_autocorr(
 def autocorr_from_psd(sd: SpectralDensity, lags) -> np.ndarray:
     """Trapezoid quadrature of int S(f) exp(i 2 pi f k dt) df at each lag.
 
-    Requires a two-sided density on a dense uniform symmetric grid; the
+    Requires a density on a dense uniform grid symmetric about 0; the
     grid must carry at least 8 points per requested lag for the oscillatory
     integrand to be resolved.
     """
     lags = np.asarray(lags, dtype=np.int64)
-    if sd.sided is not Sided.TWO_SIDED:
-        raise ValidationError("autocorrelation recovery needs a two-sided density")
     freqs = sd.freqs
     if freqs.size < 2:
         raise ValidationError("grid too small")
@@ -121,7 +121,7 @@ def autocorr_from_psd(sd: SpectralDensity, lags) -> np.ndarray:
     if np.max(np.abs(df - df[0])) > 1e-9 * abs(df[0]):
         raise ValidationError("frequency grid must be uniform")
     if abs(freqs[0] + freqs[-1]) > 1e-9 * freqs[-1]:
-        raise ValidationError("two-sided grid must be symmetric about 0")
+        raise ValidationError("frequency grid must be symmetric about 0")
     max_lag = int(np.max(np.abs(lags))) if lags.size else 0
     if freqs.size < 8 * max_lag:
         raise AccuracyError(
@@ -138,3 +138,17 @@ def autocorr_from_psd(sd: SpectralDensity, lags) -> np.ndarray:
     if np.any(bad):
         raise AccuracyError("imaginary residue of the constraint integral is too large")
     return np.ascontiguousarray(r.real)
+
+
+def relative_error_ensemble(estimates, truth: SpectralDensity) -> SpectralDensity:
+    """Per-frequency mean relative deviation over an ensemble of estimates."""
+    if not estimates:
+        raise ValidationError("need at least one estimate")
+    if (truth.values <= 0).any():
+        raise ValidationError("truth PSD must be strictly positive")
+    acc = np.zeros(truth.freqs.size)
+    for est in estimates:
+        if not np.array_equal(est.freqs, truth.freqs):
+            raise ValidationError("all estimates must share the truth's frequency grid")
+        acc += np.abs(est.values - truth.values) / truth.values
+    return SpectralDensity(freqs=truth.freqs, values=acc / len(estimates))

@@ -18,11 +18,11 @@ import numpy as np
 import pytest
 
 from mesa.baseline import tukey_window, welch_psd
-from mesa.core import ArModel, Criterion, Sided, SpectralDensity, TimeSeries
+from mesa.core import ArModel, Criterion, SpectralDensity, TimeSeries
 from mesa.estimator import fit
 from mesa.forecast import forecast, forecast_summary
 from mesa.selection import max_order, scan_orders, select_order
-from mesa.spectrum import frequency_grid, psd, to_two_sided
+from mesa.spectrum import frequency_grid, psd
 from mesa.synth import generate_ar, generate_from_psd
 from mesa.validate import relative_error_freq_avg, run_gaussian_experiment, run_order_recovery
 from oracles import autocorr_from_psd, levinson_step, reflection_yule_walker, sample_autocorrelation
@@ -88,13 +88,12 @@ def run_compare(seed: int) -> dict:
     trace = fit(ts, max_order(n))
     sel = select_order(trace, "fpe")
     welch = welch_psd(ts, 1024, 0.5, tukey_window(1024, 0.4))
-    truth = SpectralDensity(freqs=welch.freqs, values=three_peak_curve(welch.freqs),
-                            sided=Sided.TWO_SIDED)
+    truth = SpectralDensity(freqs=welch.freqs, values=three_peak_curve(welch.freqs))
     return {
         "seed": seed,
         "order": sel.chosen_order,
         "mesa_error": relative_error_freq_avg(psd(trace.model(sel.chosen_order), welch.freqs), truth),
-        "welch_error": relative_error_freq_avg(to_two_sided(welch), truth),
+        "welch_error": relative_error_freq_avg(welch, truth),
     }
 
 
@@ -327,7 +326,9 @@ def test_criterion_08_welch_normalization():
     dt = 1.0 / 256.0
     x = np.random.default_rng(88).standard_normal(2**16)
     sd = welch_psd(TimeSeries(x, dt=dt), 1024, 0.5, tukey_window(1024, 0.4))
-    integral = float(np.trapezoid(sd.values, sd.freqs))
+    # the density is two-sided and even in f: the variance is twice its
+    # integral over [0, Nyquist]
+    integral = 2.0 * float(np.trapezoid(sd.values, sd.freqs))
     var = float(np.var(x))
     integral_ok = abs(integral - var) <= 0.05 * var
 

@@ -33,13 +33,10 @@ PUBLIC_NAMES = [
     "psd",
     "random_ar_model",
     "reflection_coefficients",
-    "relative_error_ensemble",
     "relative_error_freq_avg",
     "run_gaussian_experiment",
     "run_order_recovery",
     "select_order",
-    "to_one_sided",
-    "to_two_sided",
     "tukey_window",
     "welch_psd",
 ]
@@ -60,7 +57,7 @@ PUBLIC_SIGNATURES = {
     "ForecastSummary": "steps, median, quantile_levels, quantiles",
     "OrderSelection": "criterion, losses, early_stopped=",
     "RecursionTrace": "p, c, dt, n_samples, selection=",
-    "SpectralDensity": "freqs, values, sided",
+    "SpectralDensity": "freqs, values",
     "TabulatedPsd": "freqs, values, interpolation=",
     "TimeSeries": "samples, dt",
     "fit": "ts, max_order, *, criterion=, patience=",
@@ -73,13 +70,10 @@ PUBLIC_SIGNATURES = {
     "psd": "model, freqs=",
     "random_ar_model": "rng_seed, p_min=, p_max=",
     "reflection_coefficients": "a",
-    "relative_error_ensemble": "estimates, truth",
     "relative_error_freq_avg": "estimate, truth",
     "run_gaussian_experiment": "n_realizations, n_samples, criterion, rng_seed, mu=, sigma=, dt=, n_freqs=",
     "run_order_recovery": "n_models, p_min, p_max, n_samples, rng_seed",
     "select_order": "trace, criterion",
-    "to_one_sided": "sd",
-    "to_two_sided": "sd",
     "tukey_window": "n, alpha",
     "welch_psd": "ts, segment_len, overlap_fraction, window, detrend=",
 }

@@ -49,6 +49,7 @@ def test_tukey_validation():
 
 
 # --- welch_psd --------------------------------------------------------------
+# welch_psd is two-sided: unit white noise has density dt at every frequency
 
 def test_welch_white_noise_level():
     dt = 1.0 / 256.0
@@ -56,15 +57,16 @@ def test_welch_white_noise_level():
     ts = TimeSeries(x, dt=dt)
     sd = welch_psd(ts, 1024, 0.5, tukey_window(1024, 0.4))
     interior = sd.values[1:-1]
-    assert np.mean(interior) == pytest.approx(2.0 * dt, rel=0.03)
+    assert np.mean(interior) == pytest.approx(dt, rel=0.03)
 
 
 def test_welch_parseval():
+    # the density is even in f: the variance is twice its integral over [0, Nyquist]
     dt = 0.01
     x = np.random.default_rng(1).standard_normal(2**15)
     ts = TimeSeries(x, dt=dt)
     sd = welch_psd(ts, 512, 0.5, tukey_window(512, 0.4))
-    total = np.trapezoid(sd.values, sd.freqs)
+    total = 2.0 * np.trapezoid(sd.values, sd.freqs)
     assert total == pytest.approx(np.var(x), rel=0.05)
 
 
@@ -99,20 +101,39 @@ def test_welch_single_rect_segment_is_periodogram():
     sd = welch_psd(ts, 1024, 0.0, np.ones(1024))
     spec = np.fft.rfft(x)
     raw = np.abs(spec) ** 2 * dt / 1024
-    raw[1:-1] *= 2.0
     np.testing.assert_allclose(sd.values, raw, rtol=1e-12)
 
 
-def test_welch_matches_scipy():
+def assert_matches_scipy(segment):
+    # scipy's two-sided estimate lists the non-negative DFT frequencies first
     x = np.random.default_rng(4).standard_normal(2**14)
     dt = 1.0 / 512
     ts = TimeSeries(x, dt=dt)
-    w = tukey_window(1024, 0.4)
-    sd = welch_psd(ts, 1024, 0.5, w)
-    f_ref, p_ref = scipy_welch(x, fs=1.0 / dt, window=w, nperseg=1024,
-                               noverlap=512, detrend=False)
-    np.testing.assert_allclose(sd.freqs, f_ref)
-    np.testing.assert_allclose(sd.values, p_ref, rtol=1e-10)
+    w = tukey_window(segment, 0.4)
+    sd = welch_psd(ts, segment, 0.5, w)
+    f_ref, p_ref = scipy_welch(x, fs=1.0 / dt, window=w, nperseg=segment,
+                               noverlap=segment - segment // 2, detrend=False,
+                               return_onesided=False)
+    k = sd.freqs.size
+    np.testing.assert_allclose(sd.freqs, np.abs(f_ref[:k]))
+    np.testing.assert_allclose(sd.values, p_ref[:k], rtol=1e-10)
+
+
+def test_welch_matches_scipy():
+    assert_matches_scipy(1024)
+
+
+def test_welch_matches_scipy_on_an_odd_segment():
+    # the last bin of an odd segment lies below Nyquist
+    assert_matches_scipy(63)
+
+
+@pytest.mark.parametrize("window", [tukey_window(2, 0.4), np.zeros(2), np.array([1.0, np.nan])],
+                         ids=["tukey-2", "zeros", "nan"])
+def test_welch_rejects_a_window_without_energy(window):
+    ts = TimeSeries(np.random.default_rng(6).standard_normal(64), dt=1.0)
+    with pytest.raises(ValidationError, match="window's energy"):
+        welch_psd(ts, 2, 0.5, window)
 
 
 def test_welch_hop_and_errors():

@@ -8,9 +8,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.signal import welch as scipy_welch
 
 import mesa
-from mesa._io import fmt, read_timeseries
+from mesa._io import fmt, read_tabulated_psd, read_timeseries
+from mesa.baseline import tukey_window
 from mesa.cli import main
 from mesa.core import ArModel
 from mesa.estimator import fit
@@ -270,6 +272,38 @@ def test_welch_command(tmp_path):
     assert len(rows) == 1 + 513
 
 
+def scipy_one_sided(x, dt, segment):
+    """scipy's one-sided Welch density with the CLI's defaults (overlap 0.5, Tukey 0.4)."""
+    return scipy_welch(x, fs=1.0 / dt, window=tukey_window(segment, 0.4), nperseg=segment,
+                       noverlap=segment - segment // 2, detrend=False)
+
+
+@pytest.mark.parametrize("dt", ["0.003", "0.007"])
+def test_welch_last_bin_at_nyquist_is_not_doubled(tmp_path, dt):
+    # rfftfreq(100, dt)[-1] is Nyquist, yet it misses 1/(2 dt) by an ulp:
+    # 166.66666666666669 at dt 0.003, and below it, 71.42857142857142, at 0.007
+    data = write_noise(tmp_path / "noise.csv", n=1000)
+    out = tmp_path / "welch.csv"
+    assert run(["welch", "--in", data, "--dt", dt, "--segment", "100", "--out", out]) == 0
+    got = np.loadtxt(out, delimiter=",", skiprows=1)
+    ts = read_timeseries(data, dt=float(dt))
+    f_ref, p_ref = scipy_one_sided(ts.samples, ts.dt, 100)
+    np.testing.assert_array_equal(got[:, 0], f_ref)
+    np.testing.assert_allclose(got[:, 1], p_ref, rtol=1e-12)
+    two = mesa.welch_psd(ts, 100, 0.5, tukey_window(100, 0.4)).values
+    np.testing.assert_array_equal(got[1:-1, 1], 2.0 * two[1:-1])
+    assert got[-1, 1] == two[-1]
+
+
+def test_welch_rejects_a_window_without_energy(tmp_path, capsys):
+    # tukey_window(2, 0.4) is all zeros
+    data = write_noise(tmp_path / "noise.csv", n=64)
+    out = tmp_path / "welch.csv"
+    assert run(["welch", "--in", data, "--dt", "1", "--segment", "2", "--out", out]) == 2
+    assert "window's energy" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_forecast_command(tmp_path):
     model = ArModel(a=[1.0, -0.5], p_m=1.0, dt=1.0)
     mpath = tmp_path / "model.json"
@@ -341,13 +375,22 @@ def test_compare_command(tmp_path):
         assert (tmp_path / ("cmp" + suffix)).exists()
 
 
-def test_compare_rejects_odd_segment(tmp_path, capsys):
-    # an odd segment's last bin lies below Nyquist, where both folds go wrong
+def test_compare_and_welch_fold_an_odd_segment_as_scipy_does(tmp_path):
+    # an odd segment's last bin lies below Nyquist, so it is doubled too
     tab = write_tabulated(tmp_path / "target.csv")
     assert run(["compare", "--psd", tab, "--duration", "2", "--fs", "128",
-                "--seed", "5", "--segment", "63", "--out-prefix", tmp_path / "cmp"]) == 2
-    assert "--segment must be even, got 63" in capsys.readouterr().err
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["target.csv"]
+                "--seed", "5", "--segment", "63", "--out-prefix", tmp_path / "cmp"]) == 0
+    dt = 1.0 / 128
+    x = mesa.generate_from_psd(read_tabulated_psd(tab), 256, dt, 5).samples
+    f_ref, p_ref = scipy_one_sided(x, dt, 63)
+    data = tmp_path / "x.csv"
+    data.write_text("\n".join(fmt(v) for v in x) + "\n")
+    assert run(["welch", "--in", data, "--dt", fmt(dt), "--segment", "63",
+                "--out", tmp_path / "welch.csv"]) == 0
+    for name in ("cmp_welch_psd.csv", "welch.csv"):
+        got = np.loadtxt(tmp_path / name, delimiter=",", skiprows=1)
+        np.testing.assert_array_equal(got[:, 0], f_ref)
+        np.testing.assert_allclose(got[:, 1], p_ref, rtol=1e-12)
 
 
 def test_experiment_gaussian_command(tmp_path):
@@ -409,6 +452,18 @@ def test_negative_seed_is_a_usage_error(tmp_path, capsys, argv):
     assert run([a.format(**paths) for a in argv] + ["--seed", "-3"]) == 2
     assert "seed must be a non-negative integer, got -3" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json", "seed.csv", "target.csv"]
+
+
+def test_estimate_checks_the_grid_before_fitting(tmp_path, monkeypatch, capsys):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("the series was fitted before --n-freqs was checked")
+
+    monkeypatch.setattr("mesa.cli.fit", no_fit)
+    data = write_noise(tmp_path / "noise.csv")
+    assert run(["estimate", "--in", data, "--dt", "0.01", "--n-freqs", "1",
+                "--out-prefix", tmp_path / "e"]) == 2
+    assert "need n_freqs >= 2, got 1" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["noise.csv"]
 
 
 def test_estimate_psd_on_grid_coarser_than_order(tmp_path):

@@ -11,7 +11,6 @@ from mesa.core import (
     ForecastEnsemble,
     OrderSelection,
     RecursionTrace,
-    Sided,
     SpectralDensity,
     TimeSeries,
     ValidationError,
@@ -101,14 +100,15 @@ def test_trace_replay_matches_hand_built_vectors():
 
 
 def test_spectral_density_invariants():
-    sd = SpectralDensity(freqs=[0.0, 0.5, 1.0], values=[1.0, 2.0, 0.5], sided="one_sided")
-    assert sd.sided is Sided.ONE_SIDED
+    sd = SpectralDensity(freqs=[0.0, 0.5, 1.0], values=[1.0, 2.0, 0.5])
+    assert len(sd) == 3 and not hasattr(sd, "sided")
     with pytest.raises(ValidationError):
-        SpectralDensity(freqs=[0.0, 0.0, 1.0], values=[1.0, 1.0, 1.0], sided="one_sided")
+        SpectralDensity(freqs=[0.0, 0.0, 1.0], values=[1.0, 1.0, 1.0])
     with pytest.raises(ValidationError):
-        SpectralDensity(freqs=[0.0, 1.0], values=[1.0, -0.1], sided="one_sided")
-    with pytest.raises(ValidationError):
-        SpectralDensity(freqs=[-1.0, 0.0], values=[1.0, 1.0], sided="one_sided")
+        SpectralDensity(freqs=[0.0, 1.0], values=[1.0, -0.1])
+    # every density is two-sided, so a grid may cover negative frequencies
+    both = SpectralDensity(freqs=[-1.0, 0.0, 1.0], values=[1.0, 2.0, 1.0])
+    assert both.freqs[0] == -1.0
 
 
 def test_order_selection_argmin_checked():
@@ -157,9 +157,9 @@ FINITE_CHECKS = {
           "coefficients must be finite"),
     "p": (np.array([1.0, 0.5, 0.25]),
           lambda v: RecursionTrace(p=v, c=[0.5, 0.5], dt=1.0, n_samples=100), "p must be finite"),
-    "freqs": (np.arange(5.0), lambda v: SpectralDensity(freqs=v, values=np.ones(5), sided="one_sided"),
+    "freqs": (np.arange(5.0), lambda v: SpectralDensity(freqs=v, values=np.ones(5)),
               "frequencies must be finite"),
-    "values": (np.ones(5), lambda v: SpectralDensity(freqs=np.arange(5.0), values=v, sided="one_sided"),
+    "values": (np.ones(5), lambda v: SpectralDensity(freqs=np.arange(5.0), values=v),
                "PSD values must be finite"),
     "realizations": (np.zeros((3, 5)), lambda v: ForecastEnsemble(realizations=v),
                      "realizations must be finite"),

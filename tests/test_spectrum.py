@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from mesa.cli import _emit_psd
 from mesa.core import (
     ArModel,
     DegenerateModelError,
@@ -13,13 +14,7 @@ from mesa.core import (
     ValidationError,
 )
 from mesa.estimator import fit
-from mesa.spectrum import (
-    default_grid_size,
-    frequency_grid,
-    psd,
-    to_one_sided,
-    to_two_sided,
-)
+from mesa.spectrum import default_grid_size, frequency_grid, psd
 from oracles import AccuracyError, autocorr_from_psd, fit_from_autocorr, sample_autocorrelation
 
 
@@ -66,7 +61,6 @@ def test_psd_hand_values_ar1():
     sd = psd(model, np.array([0.0, 0.5]))
     assert sd.values[0] == pytest.approx(3.0, abs=1e-9)
     assert sd.values[1] == pytest.approx(1.0 / 3.0, abs=1e-9)
-    assert sd.sided is Sided.TWO_SIDED
 
 
 def test_psd_of_perfectly_predictable_model_raises():
@@ -171,7 +165,7 @@ def test_psd_positive_when_reflections_inside_circle():
 
 def test_flat_spectrum_autocorrelation():
     grid = frequency_grid(4097, 0.5, "two_sided")  # Ny = 1
-    sd = SpectralDensity(freqs=grid, values=np.full(grid.size, 3.0), sided="two_sided")
+    sd = SpectralDensity(freqs=grid, values=np.full(grid.size, 3.0))
     r = autocorr_from_psd(sd, [0, 1, 2])
     assert r[0] == pytest.approx(2.0 * 1.0 * 3.0, rel=1e-12)
     assert abs(r[1]) < 1e-6 * r[0]
@@ -223,36 +217,49 @@ def test_parseval():
 
 def test_autocorr_grid_validation():
     grid = frequency_grid(64, 1.0, "two_sided")
-    sd = SpectralDensity(freqs=grid, values=np.ones(64), sided="two_sided")
+    sd = SpectralDensity(freqs=grid, values=np.ones(64))
     with pytest.raises(AccuracyError):
         autocorr_from_psd(sd, [20])  # 64 < 8 * 20
-    one = SpectralDensity(freqs=[0.0, 0.25, 0.5], values=[1.0, 1.0, 1.0], sided="one_sided")
-    with pytest.raises(ValidationError):
-        autocorr_from_psd(one, [0])
+    half = SpectralDensity(freqs=[0.0, 0.25, 0.5], values=[1.0, 1.0, 1.0])
+    with pytest.raises(ValidationError, match="symmetric about 0"):
+        autocorr_from_psd(half, [0])
 
 
-# --- sidedness conversions ----------------------------------------------------------
+# --- the one-sided fold of the CSV output ---------------------------------------------
 
-def test_sided_round_trip_conserves_power():
+def emitted(tmp_path, sd, sided, dt):
+    path = tmp_path / "psd.csv"
+    _emit_psd(path, sd, Sided(sided), dt)
+    return np.loadtxt(path, delimiter=",", skiprows=1)
+
+
+def test_emitted_fold_doubles_inside_the_band_and_conserves_power(tmp_path):
     model = ArModel(a=[1.0, -0.7], p_m=1.0, dt=1.0)
-    two = psd(model, frequency_grid(513, 1.0, "one_sided"))
-    one = to_one_sided(two)
-    assert one.values[0] == two.values[0]
-    assert one.values[-1] == two.values[-1]
-    np.testing.assert_allclose(one.values[1:-1], 2 * two.values[1:-1])
-    back = to_two_sided(one)
-    np.testing.assert_array_equal(back.values, two.values)
+    two = psd(model, frequency_grid(513, 1.0))
+    one = emitted(tmp_path, two, "one_sided", 1.0)
+    np.testing.assert_array_equal(one[:, 0], two.freqs)
+    assert one[0, 1] == two.values[0]
+    assert one[-1, 1] == two.values[-1]
+    np.testing.assert_array_equal(one[1:-1, 1], 2 * two.values[1:-1])
+    np.testing.assert_array_equal(emitted(tmp_path, two, "two_sided", 1.0)[:, 1], two.values)
     # total power matches the symmetric integral up to the undoubled-endpoint
     # discretization (shrinks with the grid)
     sym = psd(model, frequency_grid(1025, 1.0, "two_sided"))
-    assert np.trapezoid(one.values, one.freqs) == pytest.approx(
+    assert np.trapezoid(one[:, 1], one[:, 0]) == pytest.approx(
         np.trapezoid(sym.values, sym.freqs), rel=5e-3)
 
 
-def test_to_one_sided_folds_negative_grid():
-    grid = frequency_grid(101, 1.0, "two_sided")
-    sd = SpectralDensity(freqs=grid, values=np.ones(101), sided="two_sided")
-    one = to_one_sided(sd)
-    assert one.freqs[0] == 0.0
-    assert one.values[0] == 1.0 and one.values[-1] == 1.0
-    np.testing.assert_allclose(one.values[1:-1], 2.0)
+@pytest.mark.parametrize("n, dt, last_doubled", [(64, 1.0, False), (63, 1.0, True),
+                                                 (100, 0.003, False), (100, 0.007, False),
+                                                 (101, 0.007, True)])
+def test_emitted_fold_reads_nyquist_from_dt(tmp_path, n, dt, last_doubled):
+    # an odd-length DFT grid ends below Nyquist, and an even one can miss it by
+    # an ulp either way: rfftfreq(100, dt)[-1] is 166.66666666666669 at dt 0.003
+    # and 71.42857142857142 at dt 0.007, against 166.66666666666666 and
+    # 71.42857142857143
+    freqs = np.fft.rfftfreq(n, dt)
+    one = emitted(tmp_path, SpectralDensity(freqs=freqs, values=np.ones(freqs.size)),
+                  "one_sided", dt)
+    assert one[0, 1] == 1.0
+    np.testing.assert_array_equal(one[1:-1, 1], 2.0)
+    assert one[-1, 1] == (2.0 if last_doubled else 1.0)

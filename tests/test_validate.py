@@ -6,24 +6,24 @@ import pytest
 
 from mesa import spectrum
 from mesa._rng import derive_seed
-from mesa.core import Sided, SpectralDensity, ValidationError
+from mesa.core import SpectralDensity, ValidationError
 from mesa.estimator import fit
 from mesa.selection import max_order, select_order
 from mesa.synth import generate_from_psd
 from mesa.validate import (
     gaussian_bump,
-    relative_error_ensemble,
     relative_error_freq_avg,
     run_gaussian_experiment,
     run_order_recovery,
 )
+from oracles import relative_error_ensemble
 
 
 def sd(values, freqs=None):
     values = np.asarray(values, dtype=float)
     if freqs is None:
         freqs = np.arange(values.size, dtype=float)
-    return SpectralDensity(freqs=freqs, values=values, sided=Sided.TWO_SIDED)
+    return SpectralDensity(freqs=freqs, values=values)
 
 
 # --- metrics -----------------------------------------------------------------
@@ -89,8 +89,7 @@ def test_gaussian_running_sums_equal_the_stacked_statistics():
     n_real, n_samples, n_freqs, seed = 9, 600, 257, 11
     res = run_gaussian_experiment(n_real, n_samples, "obd", rng_seed=seed, n_freqs=n_freqs)
     curve = gaussian_bump(2.5, 0.5)
-    truth = SpectralDensity(freqs=res.mean_psd.freqs, values=curve(res.mean_psd.freqs),
-                            sided=Sided.TWO_SIDED)
+    truth = SpectralDensity(freqs=res.mean_psd.freqs, values=curve(res.mean_psd.freqs))
     estimates = []
     for i in range(n_real):
         trace = fit(generate_from_psd(curve, n_samples, 0.125, derive_seed(seed, i)),
