@@ -14,7 +14,6 @@ from mesa.core import (
     GenerationError,
     OrderSelection,
     RecursionTrace,
-    Sided,
     SpectralDensity,
     SpectralError,
     TimeSeries,

@@ -1,4 +1,4 @@
-"""File I/O for the CLI: CSV/binary readers, atomic writers.
+"""File I/O for the CLI: CSV/binary readers, atomic writers and the one PSD writer.
 
 All floating-point text output uses 17 significant digits so values
 round-trip exactly.
@@ -168,9 +168,21 @@ def read_tabulated_psd(path, interpolation: str = "linear") -> TabulatedPsd:
     return TabulatedPsd(freqs=data[:, 0], values=data[:, 1], interpolation=interpolation)
 
 
-def write_psd_csv(path, sd: SpectralDensity) -> None:
+def write_psd_csv(path, sd: SpectralDensity, dt: float, one_sided: bool) -> None:
+    """Write a density on [0, Nyquist] as ``frequency_hz,psd`` CSV, the only PSD writer.
+
+    ``one_sided`` folds the two-sided density first, doubling every bin
+    strictly inside (0, Nyquist). Nyquist comes from ``dt``, not from the
+    grid: an odd-length DFT grid ends below it. The tolerance keeps an even
+    length's last bin undoubled when it falls an ulp below 1/(2 dt), as
+    ``rfftfreq(100, 0.007)[-1]`` does.
+    """
+    values = sd.values
+    if one_sided:
+        inside = (sd.freqs > 0.0) & (sd.freqs < (1.0 - 1e-12) / (2.0 * dt))
+        values = np.where(inside, 2.0 * values, values)
     lines = ["frequency_hz,psd"]
-    lines += [f"{fmt(f)},{fmt(v)}" for f, v in zip(sd.freqs, sd.values)]
+    lines += [f"{fmt(f)},{fmt(v)}" for f, v in zip(sd.freqs, values)]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

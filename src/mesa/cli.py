@@ -20,7 +20,6 @@ from mesa.forecast import forecast as run_forecast, forecast_summary, quantile_l
 from mesa.core import (
     ArModel,
     Criterion,
-    Sided,
     SpectralDensity,
     SpectralError,
     TimeSeries,
@@ -75,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="recursion depth (default: 2N/ln 2N)")
     p.add_argument("--demean", action="store_true", help="subtract the sample mean before fitting")
     p.add_argument("--n-freqs", type=_positive_int, default=None, help="PSD grid resolution")
-    p.add_argument("--sided", choices=[s.value for s in Sided], default="one_sided",
+    p.add_argument("--sided", choices=["two_sided", "one_sided"], default="one_sided",
                    help="normalization of the emitted PSD")
     _add_patience_arg(p)
     p.add_argument("--out-prefix", required=True)
@@ -171,21 +170,6 @@ def _load_model(path) -> ArModel:
         raise ValidationError(f"{path}: not an AR model JSON: {exc!r}") from exc
 
 
-def _emit_psd(path, sd: SpectralDensity, sided: Sided, dt: float) -> None:
-    """Write a density on [0, Nyquist] to CSV, folded to one side if asked.
-
-    The fold doubles every bin strictly inside (0, Nyquist). Nyquist comes
-    from ``dt``, not from the grid: an odd-length DFT grid ends below it.
-    The tolerance keeps an even length's last bin undoubled when it falls
-    an ulp below 1/(2 dt), as ``rfftfreq(100, 0.007)[-1]`` does.
-    """
-    if sided is Sided.ONE_SIDED:
-        f = sd.freqs
-        inside = (f > 0.0) & (f < (1.0 - 1e-12) / (2.0 * dt))
-        sd = SpectralDensity(freqs=f, values=np.where(inside, 2.0 * sd.values, sd.values))
-    _io.write_psd_csv(path, sd)
-
-
 def cmd_estimate(args) -> int:
     ts = _io.read_timeseries(args.infile, dt=args.dt, binary=args.binary)
     grid = None
@@ -198,7 +182,7 @@ def cmd_estimate(args) -> int:
     sel = selection.select_order(trace, args.criterion)
     model = trace.model(sel.chosen_order)
     sd = spectrum.psd(model, grid)
-    _emit_psd(f"{args.out_prefix}_psd.csv", sd, Sided(args.sided), ts.dt)
+    _io.write_psd_csv(f"{args.out_prefix}_psd.csv", sd, ts.dt, args.sided == "one_sided")
     _io.write_json(f"{args.out_prefix}_model.json", model.to_dict())
     _io.write_json(f"{args.out_prefix}_selection.json", sel.to_dict())
     return 0
@@ -251,7 +235,7 @@ def cmd_welch(args) -> int:
     ts = _io.read_timeseries(args.infile, dt=args.dt, binary=args.binary)
     window = baseline.tukey_window(args.segment, args.tukey)
     sd = baseline.welch_psd(ts, args.segment, args.overlap, window, detrend=args.detrend)
-    _emit_psd(args.out, sd, Sided.ONE_SIDED, ts.dt)
+    _io.write_psd_csv(args.out, sd, ts.dt, True)
     return 0
 
 
@@ -276,8 +260,8 @@ def cmd_compare(args) -> int:
     mesa_err = validate.relative_error_freq_avg(mesa_sd, truth)
     welch_err = validate.relative_error_freq_avg(welch_sd, truth)
 
-    _emit_psd(f"{args.out_prefix}_mesa_psd.csv", mesa_sd, Sided.ONE_SIDED, dt)
-    _emit_psd(f"{args.out_prefix}_welch_psd.csv", welch_sd, Sided.ONE_SIDED, dt)
+    _io.write_psd_csv(f"{args.out_prefix}_mesa_psd.csv", mesa_sd, dt, True)
+    _io.write_psd_csv(f"{args.out_prefix}_welch_psd.csv", welch_sd, dt, True)
     _io.write_json(
         f"{args.out_prefix}_metrics.json",
         {
@@ -316,8 +300,9 @@ def cmd_experiment_gaussian(args) -> int:
             "error": _quantile_summary(result.errors),
         },
     )
-    _io.write_psd_csv(f"{args.out_prefix}_mean_psd.csv", result.mean_psd)
-    _io.write_psd_csv(f"{args.out_prefix}_error_curve.csv", result.error_curve)
+    _io.write_psd_csv(f"{args.out_prefix}_mean_psd.csv", result.mean_psd, args.dt, True)
+    # a dimensionless relative error, not a density: never folded
+    _io.write_psd_csv(f"{args.out_prefix}_error_curve.csv", result.error_curve, args.dt, False)
     return 0
 
 

@@ -8,8 +8,8 @@ Conventions (used everywhere, never re-negotiated downstream):
   the sampling interval enters only the spectral density normalization.
 * Every :class:`SpectralDensity` is two-sided (units signal^2/Hz), even
   when it is tabulated on [0, Nyquist] only. The one-sided form, which
-  doubles values strictly inside (0, Nyquist), exists only as a CLI output
-  format.
+  doubles values strictly inside (0, Nyquist), exists only as a PSD file
+  format, written by ``mesa._io.write_psd_csv``.
 
 All types are immutable after construction and validate their invariants
 eagerly, raising :class:`ValidationError` naming the violated constraint.
@@ -40,13 +40,6 @@ class UndefinedLossError(SpectralError):
 
 class GenerationError(SpectralError):
     """Synthetic-data generation failed (e.g. rejection budget exceeded)."""
-
-
-class Sided(enum.Enum):
-    """The part of the band a frequency grid spans, or the form a PSD file is written in."""
-
-    TWO_SIDED = "two_sided"
-    ONE_SIDED = "one_sided"
 
 
 class Criterion(enum.Enum):

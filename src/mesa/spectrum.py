@@ -5,36 +5,27 @@ The density of an :class:`~mesa.core.ArModel` is
     S(f) = p_m * dt / |sum_s a_s exp(i 2 pi f s dt)|^2,
 
 a two-sided density over [-Nyquist, Nyquist], even in f for real models.
-It stays two-sided on the default grid, which covers [0, Nyquist] only.
+It stays two-sided on the default grid, which covers [0, Nyquist] only; a
+symmetric grid is ``np.linspace(-ny, ny, n)``, evaluated by the direct sum.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from mesa.core import (
-    ArModel,
-    DegenerateModelError,
-    Sided,
-    SpectralDensity,
-    ValidationError,
-)
+from mesa.core import ArModel, DegenerateModelError, SpectralDensity, ValidationError
 
 # a block of the direct sum holds about this many complex phases, whatever
 # the order (one frequency's row at least)
 _BLOCK_SAMPLES = 1 << 16
 
 
-def frequency_grid(n_freqs: int, dt: float, sided: Sided | str = Sided.ONE_SIDED) -> np.ndarray:
-    """Equally spaced frequencies spanning [0, Ny] or [-Ny, Ny], endpoints included."""
-    sided = Sided(sided)
+def frequency_grid(n_freqs: int, dt: float) -> np.ndarray:
+    """Equally spaced frequencies spanning [0, Nyquist], endpoints included."""
     if n_freqs < 2:
         raise ValidationError(f"need n_freqs >= 2, got {n_freqs}")
     if not dt > 0:
         raise ValidationError("dt must be > 0")
-    ny = 1.0 / (2.0 * dt)
-    if sided is Sided.ONE_SIDED:
-        return np.linspace(0.0, ny, n_freqs)
-    return np.linspace(-ny, ny, n_freqs)
+    return np.linspace(0.0, 1.0 / (2.0 * dt), n_freqs)
 
 
 def default_grid_size(order: int) -> int:
@@ -95,14 +86,6 @@ def psd(model: ArModel, freqs: np.ndarray | None = None) -> SpectralDensity:
 
     if _is_canonical_positive(freqs, ny):
         den = _denominator_fft(model.a, freqs.size)
-    elif (
-        freqs.size >= 3
-        and freqs.size % 2 == 1
-        and _is_canonical_positive(freqs[freqs.size // 2 :], ny)
-        and np.array_equal(freqs, -freqs[::-1])
-    ):
-        half = _denominator_fft(model.a, freqs.size // 2 + 1)
-        den = np.concatenate([half[:0:-1], half])
     else:
         den = _denominator_direct(model.a, freqs, model.dt)
     # the density is formed in the denominator's buffer and sealed, so

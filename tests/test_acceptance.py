@@ -22,7 +22,7 @@ from mesa.core import ArModel, Criterion, SpectralDensity, TimeSeries
 from mesa.estimator import fit
 from mesa.forecast import forecast, forecast_summary
 from mesa.selection import max_order, scan_orders, select_order
-from mesa.spectrum import frequency_grid, psd
+from mesa.spectrum import psd
 from mesa.synth import generate_ar, generate_from_psd
 from mesa.validate import relative_error_freq_avg, run_gaussian_experiment, run_order_recovery
 from oracles import autocorr_from_psd, levinson_step, reflection_yule_walker, sample_autocorrelation
@@ -208,7 +208,7 @@ def test_criterion_03_model_psd_satisfies_normal_equations():
     t0 = time.time()
     rng = np.random.default_rng(333)
     worst = 0.0
-    grid = frequency_grid(2**14 + 1, 1.0, "two_sided")
+    grid = np.linspace(-0.5, 0.5, 2**14 + 1)  # [-Ny, Ny] at dt = 1
     for case in range(20):
         x = rng.standard_normal(4096)
         if case % 3 == 0:

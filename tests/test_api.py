@@ -16,7 +16,6 @@ PUBLIC_NAMES = [
     "GenerationError",
     "OrderSelection",
     "RecursionTrace",
-    "Sided",
     "SpectralDensity",
     "SpectralError",
     "TabulatedPsd",
@@ -63,7 +62,7 @@ PUBLIC_SIGNATURES = {
     "fit": "ts, max_order, *, criterion=, patience=",
     "forecast": "model, seed, horizon, n_realizations, rng_seed, noise_scale=",
     "forecast_summary": "ens, quantiles=",
-    "frequency_grid": "n_freqs, dt, sided=",
+    "frequency_grid": "n_freqs, dt",
     "generate_ar": "model, n, burn_in=, *, rng_seed",
     "generate_from_psd": "target, n, dt, rng_seed",
     "max_order": "n",

@@ -17,6 +17,8 @@ from mesa.cli import main
 from mesa.core import ArModel
 from mesa.estimator import fit
 from mesa.selection import max_order
+from mesa.spectrum import psd
+from mesa.validate import run_gaussian_experiment
 
 
 def run(argv):
@@ -406,6 +408,32 @@ def test_experiment_gaussian_command(tmp_path):
     assert "q50" in summary["error"]
     assert (tmp_path / "exp_mean_psd.csv").exists()
     assert (tmp_path / "exp_error_curve.csv").exists()
+
+
+def test_experiment_gaussian_writes_its_mean_psd_one_sided(tmp_path):
+    # like every other PSD file; the error curve is a relative error, never folded
+    assert run(["experiment", "gaussian", "--n-realizations", "3", "--n-samples", "600",
+                "--dt", "0.1", "--n-freqs", "301", "--seed", "2",
+                "--out-prefix", tmp_path / "exp"]) == 0
+    result = run_gaussian_experiment(3, 600, "fpe", 2, dt=0.1, n_freqs=301)
+    f, mean = result.mean_psd.freqs, result.mean_psd.values
+    mean_file = np.loadtxt(tmp_path / "exp_mean_psd.csv", delimiter=",", skiprows=1)
+    np.testing.assert_array_equal(mean_file[:, 0], f)
+    np.testing.assert_array_equal(mean_file[:, 1],
+                                  np.where((f > 0.0) & (f < 1.0 / (2.0 * 0.1)), 2.0 * mean, mean))
+    curve_file = np.loadtxt(tmp_path / "exp_error_curve.csv", delimiter=",", skiprows=1)
+    np.testing.assert_array_equal(curve_file[:, 0], f)
+    np.testing.assert_array_equal(curve_file[:, 1], result.error_curve.values)
+
+
+def test_estimate_two_sided_file_reads_back_as_the_model_density(tmp_path):
+    # the --psd tables of generate and compare are read as two-sided densities
+    data = write_noise(tmp_path / "noise.csv", n=3000)
+    assert run(["estimate", "--in", data, "--dt", "0.01", "--sided", "two_sided",
+                "--out-prefix", tmp_path / "out"]) == 0
+    model = ArModel.from_dict(json.loads((tmp_path / "out_model.json").read_text()))
+    table = read_tabulated_psd(tmp_path / "out_psd.csv")
+    np.testing.assert_array_equal(table.values, psd(model, table.freqs).values)
 
 
 def test_experiment_order_recovery_command(tmp_path):

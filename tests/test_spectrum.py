@@ -4,11 +4,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mesa.cli import _emit_psd
+from mesa import _io
 from mesa.core import (
     ArModel,
     DegenerateModelError,
-    Sided,
     SpectralDensity,
     TimeSeries,
     ValidationError,
@@ -31,9 +30,8 @@ def direct_psd_oracle(model, freqs):
 # --- frequency_grid -----------------------------------------------------------
 
 def test_grid_examples():
-    np.testing.assert_allclose(frequency_grid(3, 0.5, "one_sided"), [0.0, 0.5, 1.0])
-    np.testing.assert_allclose(frequency_grid(2, 1.0, "one_sided"), [0.0, 0.5])
-    np.testing.assert_allclose(frequency_grid(5, 0.5, "two_sided"), [-1.0, -0.5, 0.0, 0.5, 1.0])
+    np.testing.assert_allclose(frequency_grid(3, 0.5), [0.0, 0.5, 1.0])
+    np.testing.assert_allclose(frequency_grid(2, 1.0), [0.0, 0.5])
     with pytest.raises(ValidationError):
         frequency_grid(1, 0.5)
     with pytest.raises(ValidationError):
@@ -49,7 +47,7 @@ def test_default_grid_size():
 
 def test_psd_order_zero_is_flat():
     model = ArModel(a=[1.0], p_m=2.0, dt=0.5)
-    grid = frequency_grid(129, 0.5, "two_sided")
+    grid = np.linspace(-1.0, 1.0, 129)  # Ny = 1
     sd = psd(model, grid)
     np.testing.assert_allclose(sd.values, 1.0, rtol=1e-12)
     # flat-spectrum integral over [-Ny, Ny] recovers r_0 = p_0
@@ -84,7 +82,7 @@ def test_psd_fast_path_matches_direct_summation():
     x = rng.standard_normal(2000)
     trace = fit(TimeSeries(x, dt=0.1), 24)
     model = trace.model(24)
-    grid = frequency_grid(257, 0.1, "one_sided")
+    grid = frequency_grid(257, 0.1)
     fast = psd(model, grid).values
     # unaligned grid falls back to direct summation
     jitter = grid.copy()
@@ -92,19 +90,18 @@ def test_psd_fast_path_matches_direct_summation():
     direct = psd(model, jitter).values
     assert np.max(np.abs(fast[2:] - direct[2:]) / fast[2:]) < 1e-10
     np.testing.assert_allclose(fast, direct_psd_oracle(model, grid), rtol=1e-12)
-    # symmetric two-sided canonical grid uses the mirrored fast path
-    grid2 = frequency_grid(513, 0.1, "two_sided")
+    # a symmetric grid over [-Ny, Ny] takes the direct sum
+    grid2 = np.linspace(-5.0, 5.0, 513)
     np.testing.assert_allclose(psd(model, grid2).values,
                                direct_psd_oracle(model, grid2), rtol=1e-11)
 
 
-@pytest.mark.parametrize("n_freqs,sided", [(2, "one_sided"), (9, "one_sided"),
-                                           (3, "two_sided"), (9, "two_sided")])
-def test_psd_fast_path_on_grid_coarser_than_order(n_freqs, sided):
+@pytest.mark.parametrize("n_freqs", [2, 9])
+def test_psd_fast_path_on_grid_coarser_than_order(n_freqs):
     # the FFT has fewer points than the order-24 filter has coefficients
     x = np.random.default_rng(21).standard_normal(2000)
     model = fit(TimeSeries(x, dt=0.1), 24).model(24)
-    grid = frequency_grid(n_freqs, 0.1, sided)
+    grid = frequency_grid(n_freqs, 0.1)
     np.testing.assert_allclose(psd(model, grid).values, direct_psd_oracle(model, grid), rtol=1e-11)
 
 
@@ -164,7 +161,7 @@ def test_psd_positive_when_reflections_inside_circle():
 # --- autocorr_from_psd ------------------------------------------------------------
 
 def test_flat_spectrum_autocorrelation():
-    grid = frequency_grid(4097, 0.5, "two_sided")  # Ny = 1
+    grid = np.linspace(-1.0, 1.0, 4097)  # Ny = 1
     sd = SpectralDensity(freqs=grid, values=np.full(grid.size, 3.0))
     r = autocorr_from_psd(sd, [0, 1, 2])
     assert r[0] == pytest.approx(2.0 * 1.0 * 3.0, rel=1e-12)
@@ -181,7 +178,7 @@ def test_model_psd_reproduces_sample_autocorrelation():
     m = 8
     r = sample_autocorrelation(ts, m)
     trace = fit_from_autocorr(r, m, ts.dt, len(ts))
-    sd = psd(trace.model(m), frequency_grid(2**14 + 1, 1.0, "two_sided"))
+    sd = psd(trace.model(m), np.linspace(-0.5, 0.5, 2**14 + 1))
     rho = autocorr_from_psd(sd, np.arange(m + 1))
     np.testing.assert_allclose(rho, r, rtol=1e-3, atol=1e-3 * r[0])
 
@@ -195,7 +192,7 @@ def test_yule_walker_residuals_from_model_psd():
     yule_walker = fit_from_autocorr(sample_autocorrelation(ts, m), m, ts.dt, len(ts))
     for trace in (fit(ts, m), yule_walker):
         model = trace.model(m)
-        sd = psd(model, frequency_grid(2**14 + 1, 0.5, "two_sided"))
+        sd = psd(model, np.linspace(-1.0, 1.0, 2**14 + 1))
         rho = autocorr_from_psd(sd, np.arange(-m, m + 1))
         a = model.a
         for lag in range(m + 1):
@@ -208,7 +205,7 @@ def test_parseval():
     rng = np.random.default_rng(7)
     x = rng.standard_normal(4096)
     trace = fit(TimeSeries(x, dt=2.0), 16)
-    sd = psd(trace.model(16), frequency_grid(2**13 + 1, 2.0, "two_sided"))
+    sd = psd(trace.model(16), np.linspace(-0.25, 0.25, 2**13 + 1))
     total = np.trapezoid(sd.values, sd.freqs)
     rho0 = autocorr_from_psd(sd, [0])[0]
     assert total == pytest.approx(rho0, rel=1e-12)
@@ -216,7 +213,7 @@ def test_parseval():
 
 
 def test_autocorr_grid_validation():
-    grid = frequency_grid(64, 1.0, "two_sided")
+    grid = np.linspace(-0.5, 0.5, 64)
     sd = SpectralDensity(freqs=grid, values=np.ones(64))
     with pytest.raises(AccuracyError):
         autocorr_from_psd(sd, [20])  # 64 < 8 * 20
@@ -225,26 +222,26 @@ def test_autocorr_grid_validation():
         autocorr_from_psd(half, [0])
 
 
-# --- the one-sided fold of the CSV output ---------------------------------------------
+# --- the one-sided fold of the PSD file -----------------------------------------------
 
-def emitted(tmp_path, sd, sided, dt):
+def emitted(tmp_path, sd, one_sided, dt):
     path = tmp_path / "psd.csv"
-    _emit_psd(path, sd, Sided(sided), dt)
+    _io.write_psd_csv(path, sd, dt, one_sided)
     return np.loadtxt(path, delimiter=",", skiprows=1)
 
 
 def test_emitted_fold_doubles_inside_the_band_and_conserves_power(tmp_path):
     model = ArModel(a=[1.0, -0.7], p_m=1.0, dt=1.0)
     two = psd(model, frequency_grid(513, 1.0))
-    one = emitted(tmp_path, two, "one_sided", 1.0)
+    one = emitted(tmp_path, two, True, 1.0)
     np.testing.assert_array_equal(one[:, 0], two.freqs)
     assert one[0, 1] == two.values[0]
     assert one[-1, 1] == two.values[-1]
     np.testing.assert_array_equal(one[1:-1, 1], 2 * two.values[1:-1])
-    np.testing.assert_array_equal(emitted(tmp_path, two, "two_sided", 1.0)[:, 1], two.values)
+    np.testing.assert_array_equal(emitted(tmp_path, two, False, 1.0)[:, 1], two.values)
     # total power matches the symmetric integral up to the undoubled-endpoint
     # discretization (shrinks with the grid)
-    sym = psd(model, frequency_grid(1025, 1.0, "two_sided"))
+    sym = psd(model, np.linspace(-0.5, 0.5, 1025))
     assert np.trapezoid(one[:, 1], one[:, 0]) == pytest.approx(
         np.trapezoid(sym.values, sym.freqs), rel=5e-3)
 
@@ -259,7 +256,7 @@ def test_emitted_fold_reads_nyquist_from_dt(tmp_path, n, dt, last_doubled):
     # 71.42857142857143
     freqs = np.fft.rfftfreq(n, dt)
     one = emitted(tmp_path, SpectralDensity(freqs=freqs, values=np.ones(freqs.size)),
-                  "one_sided", dt)
+                  True, dt)
     assert one[0, 1] == 1.0
     np.testing.assert_array_equal(one[1:-1, 1], 2.0)
     assert one[-1, 1] == (2.0 if last_doubled else 1.0)
