@@ -1,4 +1,7 @@
-"""File I/O for the CLI: CSV/binary readers, atomic writers and the one PSD writer.
+"""File I/O for the CLI: CSV/binary readers, atomic writers and the PSD file format.
+
+Every PSD file is one-sided and every density in memory two-sided; the
+fold between them, doubled on write and halved on read, lives here alone.
 
 All floating-point text output uses 17 significant digits so values
 round-trip exactly.
@@ -161,26 +164,45 @@ def write_timeseries_csv(path, ts: TimeSeries) -> None:
     atomic_write_text(path, "\n".join(fmt(v) for v in ts.samples) + "\n")
 
 
-def read_tabulated_psd(path, interpolation: str = "linear") -> TabulatedPsd:
+def _interior(freqs: np.ndarray, nyquist: float) -> np.ndarray:
+    """The bins strictly inside (0, Nyquist): the ones a one-sided file holds doubled.
+
+    The tolerance keeps an even DFT length's last bin out when it falls an
+    ulp below Nyquist, as ``rfftfreq(100, 0.007)[-1]`` does.
+    """
+    return (freqs > 0.0) & (freqs < (1.0 - 1e-12) * nyquist)
+
+
+def read_tabulated_psd(path, interpolation: str, dt: float | None) -> TabulatedPsd:
+    """Read a one-sided ``frequency_hz,psd`` table as a two-sided :class:`TabulatedPsd`.
+
+    The inverse of :func:`write_psd_csv`'s fold: every value strictly
+    inside (0, Nyquist) is halved, so a file ``estimate`` writes reads back
+    as the model's density bit for bit. Nyquist is 1/(2 dt) for the
+    sampling interval the table is used at; with ``dt`` None it is the
+    table's last frequency.
+    """
     data = _read_numeric_rows(path)
     if data.shape[1] != 2:
         raise ValidationError(f"{path}: tabulated PSD needs two columns frequency_hz,psd")
-    return TabulatedPsd(freqs=data[:, 0], values=data[:, 1], interpolation=interpolation)
+    freqs, values = data[:, 0], data[:, 1]
+    nyquist = freqs[-1] if dt is None else 0.5 / dt
+    values = np.where(_interior(freqs, nyquist), 0.5 * values, values)
+    return TabulatedPsd(freqs=freqs, values=values, interpolation=interpolation)
 
 
 def write_psd_csv(path, sd: SpectralDensity, dt: float, one_sided: bool) -> None:
     """Write a density on [0, Nyquist] as ``frequency_hz,psd`` CSV, the only PSD writer.
 
     ``one_sided`` folds the two-sided density first, doubling every bin
-    strictly inside (0, Nyquist). Nyquist comes from ``dt``, not from the
-    grid: an odd-length DFT grid ends below it. The tolerance keeps an even
-    length's last bin undoubled when it falls an ulp below 1/(2 dt), as
-    ``rfftfreq(100, 0.007)[-1]`` does.
+    strictly inside (0, Nyquist); :func:`read_tabulated_psd` undoes it.
+    Nyquist comes from ``dt``, not from the grid: an odd-length DFT grid
+    ends below it. Only a quantity that is not a density (a relative error
+    curve) is written unfolded.
     """
     values = sd.values
     if one_sided:
-        inside = (sd.freqs > 0.0) & (sd.freqs < (1.0 - 1e-12) / (2.0 * dt))
-        values = np.where(inside, 2.0 * values, values)
+        values = np.where(_interior(sd.freqs, 0.5 / dt), 2.0 * values, values)
     lines = ["frequency_hz,psd"]
     lines += [f"{fmt(f)},{fmt(v)}" for f, v in zip(sd.freqs, values)]
     atomic_write_text(path, "\n".join(lines) + "\n")

@@ -62,8 +62,8 @@ def welch_psd(
     if hop < 1:
         raise ValidationError("overlap too large: hop would be zero")
 
-    starts = np.arange(0, n - segment_len + 1, hop)
-    segments = x[starts[:, None] + np.arange(segment_len)[None, :]]
+    # a read-only strided view: the window product and the detrend both copy
+    segments = np.lib.stride_tricks.sliding_window_view(x, segment_len)[::hop]
     if detrend:
         segments = segments - segments.mean(axis=1, keepdims=True)
     spec = np.fft.rfft(window * segments, axis=1)

@@ -74,8 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="recursion depth (default: 2N/ln 2N)")
     p.add_argument("--demean", action="store_true", help="subtract the sample mean before fitting")
     p.add_argument("--n-freqs", type=_positive_int, default=None, help="PSD grid resolution")
-    p.add_argument("--sided", choices=["two_sided", "one_sided"], default="one_sided",
-                   help="normalization of the emitted PSD")
     _add_patience_arg(p)
     p.add_argument("--out-prefix", required=True)
     p.set_defaults(func=cmd_estimate)
@@ -96,14 +94,15 @@ def build_parser() -> argparse.ArgumentParser:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--psd-gaussian", nargs=2, type=float, metavar=("MU", "SIGMA"),
                      help="analytic Gaussian-bump target PSD")
-    src.add_argument("--psd", help="tabulated target PSD CSV (frequency_hz,psd)")
+    src.add_argument("--psd", help="tabulated one-sided target PSD CSV (frequency_hz,psd)")
     src.add_argument("--model", help="AR model JSON to simulate")
     p.add_argument("--psd-interp", choices=[i.value for i in synth.Interpolation], default=None,
                    help="interpolation of the tabulated target (default linear; --psd only)")
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--dt", type=float, default=None,
                    help="sampling interval (default 0.125 for the Gaussian target, "
-                        "Nyquist-matched for tabulated targets; not with --model)")
+                        "1/(2 f_last) for a table whose last frequency f_last is its "
+                        "Nyquist; not with --model)")
     p.add_argument("--burn-in", type=int, default=None,
                    help="AR warm-up samples to discard (--model only)")
     p.add_argument("--seed", type=int, required=True)
@@ -121,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_welch)
 
     p = sub.add_parser("compare", help="MESA vs Welch on shared synthetic data")
-    p.add_argument("--psd", required=True, help="tabulated truth PSD CSV")
+    p.add_argument("--psd", required=True, help="tabulated one-sided truth PSD CSV")
     p.add_argument("--psd-interp", choices=[i.value for i in synth.Interpolation],
                    default="linear")
     p.add_argument("--duration", type=float, required=True, help="seconds of synthetic data")
@@ -182,7 +181,7 @@ def cmd_estimate(args) -> int:
     sel = selection.select_order(trace, args.criterion)
     model = trace.model(sel.chosen_order)
     sd = spectrum.psd(model, grid)
-    _io.write_psd_csv(f"{args.out_prefix}_psd.csv", sd, ts.dt, args.sided == "one_sided")
+    _io.write_psd_csv(f"{args.out_prefix}_psd.csv", sd, ts.dt, True)
     _io.write_json(f"{args.out_prefix}_model.json", model.to_dict())
     _io.write_json(f"{args.out_prefix}_selection.json", sel.to_dict())
     return 0
@@ -224,7 +223,7 @@ def cmd_generate(args) -> int:
             target = validate.gaussian_bump(mu, sigma)
             dt = args.dt if args.dt is not None else 0.125
         else:
-            target = _io.read_tabulated_psd(args.psd, args.psd_interp or "linear")
+            target = _io.read_tabulated_psd(args.psd, args.psd_interp or "linear", args.dt)
             dt = args.dt if args.dt is not None else 1.0 / (2.0 * target.freqs[-1])
         ts = synth.generate_from_psd(target, args.n, dt, args.seed)
     _io.write_timeseries_csv(args.out, ts)
@@ -244,7 +243,7 @@ def cmd_compare(args) -> int:
     if n < 2 or n % 2:
         raise ValidationError(f"duration*fs must be an even sample count, got {n}")
     dt = 1.0 / args.fs
-    target = _io.read_tabulated_psd(args.psd, args.psd_interp)
+    target = _io.read_tabulated_psd(args.psd, args.psd_interp, dt)
     ts = synth.generate_from_psd(target, n, dt, args.seed)
 
     max_order = selection.max_order(n)

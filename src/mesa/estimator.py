@@ -8,6 +8,8 @@ a :class:`~mesa.core.RecursionTrace`.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from mesa.core import (
@@ -65,6 +67,11 @@ FAST_BURG_MIN_N = 16384
 # power (den_k / den_0 <= p_k / p_0), so no order whose power is below this
 # ratio of p_0 runs on fast Burg.
 FAST_BURG_GUARD_RATIO = 1e-6
+# Burg's c_k does not depend on the data's scale. Samples whose largest
+# magnitude lies outside this window are fitted as x 2^-e, with max|x| 2^-e
+# in [0.5, 1), which a power of two makes exact; inside it no sum of squares
+# over- or underflows, and the samples are fitted as given.
+_UNSCALED_MAX_ABS = (2.0 ** -300, 2.0 ** 300)
 
 
 def _steps(f: np.ndarray, b: np.ndarray, start: int, max_order: int):
@@ -177,8 +184,14 @@ def fit(
     ends at the last order the scan read and holds the scan's result, which
     ``select_order(trace, criterion)`` returns. It equals the scan of the
     full trace with the same ``patience`` (``scan_orders``);
-    ``patience=None`` is ``default_patience(max_order, criterion)``.
-    A ``DegenerateModelError`` is raised for a zero-variance series and,
+    ``patience=None`` is ``default_patience(max_order, criterion)``. A
+    ``patience`` without a ``criterion`` is refused.
+
+    The coefficients do not depend on the data's units: a series scaled by
+    2^k has the same ``c`` bit for bit, and its powers are 4^k times as
+    large while they stay normal floats. A series whose power x.x/N is not
+    a finite normal float raises ``ValidationError``. A
+    ``DegenerateModelError`` is raised for a zero-variance series and,
     once the recursion is asked for it, for an order whose prediction errors
     vanish: on both paths the order after one of exactly zero power, which
     predicts the series exactly. A loss undefined at every order raises
@@ -191,10 +204,24 @@ def fit(
         criterion = Criterion(criterion)
         if patience is None:
             patience = default_patience(max_order, criterion)
+    elif patience is not None:
+        raise ValidationError("patience applies only with a criterion")
     x = ts.samples
-    p0 = x @ x / n
-    if p0 == 0.0:
+    top = max(x.max(), -x.min())
+    if top == 0.0:
         raise DegenerateModelError("zero-variance input")
+    if _UNSCALED_MAX_ABS[0] <= top <= _UNSCALED_MAX_ABS[1]:
+        p0 = x @ x / n
+    else:
+        e = math.frexp(top)[1]
+        x = np.ldexp(x, -e)
+        unit_p0 = x @ x / n
+        with np.errstate(over="ignore", under="ignore"):
+            p0 = np.ldexp(unit_p0, 2 * e)
+        if not np.finfo(np.float64).tiny <= p0 < np.inf:
+            decades = math.log10(unit_p0) + 2 * e * math.log10(2.0)
+            raise ValidationError(f"the series' power x.x/N, about 1e{decades:+.0f}, "
+                                  f"is not a finite normal float: rescale the input")
     if n >= FAST_BURG_MIN_N:
         steps = _fast_then_lattice(x, max_order)
     else:

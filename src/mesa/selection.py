@@ -95,7 +95,7 @@ def _loss_sequence(orders, criterion: Criterion, n: int):
                 return
             acc += n * pm / (n - m)
             yield m, 1.0 / (n * acc) - inv
-    elif criterion is Criterion.OBD:
+    else:  # Criterion.OBD
         # the order-m coefficient vector is raised from order m-1 as orders arrive
         log_acc = 0.0
         a = np.ones(1)
@@ -107,8 +107,6 @@ def _loss_sequence(orders, criterion: Criterion, n: int):
             sq = float(a[1:] @ a[1:]) if m >= 1 else 0.0
             yield m, (n - m - 2) * math.log(pm) + m * math.log(n) + log_acc + sq
             log_acc += math.log(pm)
-    else:
-        raise ValidationError(f"no loss scan for criterion {criterion.value!r}")
 
 
 def scan_orders(orders, criterion: Criterion, n: int, patience: float) -> OrderSelection:

@@ -2,7 +2,9 @@
 import argparse
 import enum
 import inspect
+import re
 import types
+from pathlib import Path
 
 import mesa
 from mesa.cli import build_parser
@@ -98,8 +100,8 @@ def test_public_signatures_are_pinned():
 
 # The option strings of every CLI command, help aside.
 CLI_OPTIONS = {
-    "estimate": "--in --dt --binary --criterion --max-order --demean --n-freqs --sided "
-                "--patience --out-prefix",
+    "estimate": "--in --dt --binary --criterion --max-order --demean --n-freqs --patience "
+                "--out-prefix",
     "forecast": "--in --dt --binary --model --horizon --n-realizations --seed --noise-scale "
                 "--quantiles --out",
     "generate": "--psd-gaussian --psd --model --psd-interp --n --dt --burn-in --seed --out",
@@ -128,3 +130,13 @@ def cli_options(parser, command=""):
 
 def test_cli_options_are_pinned():
     assert cli_options(build_parser()) == CLI_OPTIONS
+
+
+def test_readme_library_quick_start_runs():
+    # the README's example is code against this API: run it, so it cannot drift
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    namespace = {}
+    exec(compile(block, "README.md: Library quick start", "exec"), namespace)
+    assert isinstance(namespace["sd"], mesa.SpectralDensity)

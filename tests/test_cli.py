@@ -383,7 +383,7 @@ def test_compare_and_welch_fold_an_odd_segment_as_scipy_does(tmp_path):
     assert run(["compare", "--psd", tab, "--duration", "2", "--fs", "128",
                 "--seed", "5", "--segment", "63", "--out-prefix", tmp_path / "cmp"]) == 0
     dt = 1.0 / 128
-    x = mesa.generate_from_psd(read_tabulated_psd(tab), 256, dt, 5).samples
+    x = mesa.generate_from_psd(read_tabulated_psd(tab, "linear", dt), 256, dt, 5).samples
     f_ref, p_ref = scipy_one_sided(x, dt, 63)
     data = tmp_path / "x.csv"
     data.write_text("\n".join(fmt(v) for v in x) + "\n")
@@ -426,13 +426,22 @@ def test_experiment_gaussian_writes_its_mean_psd_one_sided(tmp_path):
     np.testing.assert_array_equal(curve_file[:, 1], result.error_curve.values)
 
 
-def test_estimate_two_sided_file_reads_back_as_the_model_density(tmp_path):
-    # the --psd tables of generate and compare are read as two-sided densities
-    data = write_noise(tmp_path / "noise.csv", n=3000)
-    assert run(["estimate", "--in", data, "--dt", "0.01", "--sided", "two_sided",
+def test_one_sided_psd_files_round_trip(tmp_path):
+    # generate reads a one-sided table T: its series' variance is the integral
+    # of T over [0, Nyquist], and estimate recovers T, not 2 T
+    tab = write_tabulated(tmp_path / "target.csv", ny=64.0)
+    assert run(["generate", "--psd", tab, "--n", 2**16, "--seed", "3",
+                "--out", tmp_path / "x.csv"]) == 0
+    f, t = np.loadtxt(tab, delimiter=",", skiprows=1).T
+    x = np.loadtxt(tmp_path / "x.csv")
+    assert abs(x.var() / np.trapezoid(t, f) - 1.0) < 0.05
+    assert run(["estimate", "--in", tmp_path / "x.csv", "--dt", 1.0 / 128,
                 "--out-prefix", tmp_path / "out"]) == 0
+    est = np.loadtxt(tmp_path / "out_psd.csv", delimiter=",", skiprows=1)[1:-1]
+    assert abs(np.median(est[:, 1] / np.interp(est[:, 0], f, t)) - 1.0) < 0.05
+    # estimate's one-sided file reads back as the model's density, bit for bit
     model = ArModel.from_dict(json.loads((tmp_path / "out_model.json").read_text()))
-    table = read_tabulated_psd(tmp_path / "out_psd.csv")
+    table = read_tabulated_psd(tmp_path / "out_psd.csv", "linear", 1.0 / 128)
     np.testing.assert_array_equal(table.values, psd(model, table.freqs).values)
 
 

@@ -251,6 +251,32 @@ def test_fit_scale_equivariance():
     np.testing.assert_allclose(t2.coefficients(8), t1.coefficients(8), rtol=1e-9, atol=1e-12)
 
 
+@pytest.mark.parametrize("n", [3000, 20000], ids=["lattice", "fast-burg"])
+def test_fit_does_not_depend_on_the_data_units(n):
+    # a power of two rescales exactly: c is the unit-scale fit's bit for bit and
+    # p is 4^k times it, also where x.x over- or underflows at that scale
+    ts = TimeSeries(ar_series([1.0, -0.9, 0.5], n, seed=11), dt=1.0)
+    unit = fit(ts, 40)
+    for k in (-510, -400, 400, 505):
+        scaled = fit(TimeSeries(np.ldexp(ts.samples, k), dt=1.0), 40)
+        np.testing.assert_array_equal(scaled.c, unit.c)
+        np.testing.assert_array_equal(scaled.p, np.ldexp(unit.p, 2 * k))
+
+
+@pytest.mark.parametrize("scale", [2.0 ** -520, 1e-170, 1e160], ids=["2^-520", "1e-170", "1e160"])
+def test_fit_refuses_a_power_outside_the_float_range(scale):
+    ts = TimeSeries(scale * ar_series([1.0, -0.9, 0.5], 3000, seed=11), dt=1.0)
+    with pytest.raises(ValidationError, match=r"power x\.x/N, about 1e[+-]\d+, is not a finite normal float"):
+        fit(ts, 10)
+
+
+def test_fit_refuses_a_patience_without_a_criterion():
+    # without a scan there is nothing to stop, so the patience would be ignored
+    ts = TimeSeries(np.random.default_rng(5).standard_normal(200), dt=1.0)
+    with pytest.raises(ValidationError, match="patience applies only with a criterion"):
+        fit(ts, 20, patience=10)
+
+
 def test_fit_coefficients_replay_levinson_chain():
     x = np.random.default_rng(6).standard_normal(500)
     trace = fit(TimeSeries(x, dt=1.0), 10)

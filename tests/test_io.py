@@ -11,9 +11,10 @@ from mesa._io import (
     fmt,
     read_tabulated_psd,
     read_timeseries,
+    write_psd_csv,
 )
 from mesa.cli import main
-from mesa.core import ValidationError
+from mesa.core import SpectralDensity, ValidationError
 
 
 def estimate(path, tmp_path):
@@ -60,7 +61,27 @@ def test_tabulated_psd_needs_two_columns(tmp_path):
     path = tmp_path / "psd.csv"
     path.write_text("frequency_hz,psd,extra\n0,1,2\n1,1,2\n")
     with pytest.raises(ValidationError, match="tabulated PSD needs two columns"):
-        read_tabulated_psd(path)
+        read_tabulated_psd(path, "linear", None)
+
+
+@pytest.mark.parametrize("n", [100, 101], ids=["even", "odd"])
+def test_tabulated_psd_halves_what_the_psd_writer_doubles(tmp_path, n):
+    # Nyquist comes from dt: an even grid ends an ulp below it here, an odd one
+    # a bin below it, and only the odd grid's last bin is folded
+    dt = 0.007
+    f = np.fft.rfftfreq(n, dt)
+    sd = SpectralDensity(freqs=f, values=1.0 + f)
+    path = tmp_path / "psd.csv"
+    write_psd_csv(path, sd, dt, True)
+    written = np.loadtxt(path, delimiter=",", skiprows=1)[:, 1]
+    assert (written[-1] == sd.values[-1]) == (n % 2 == 0)
+    np.testing.assert_array_equal(read_tabulated_psd(path, "linear", dt).values, sd.values)
+
+
+def test_tabulated_psd_without_dt_ends_at_its_nyquist(tmp_path):
+    path = tmp_path / "psd.csv"
+    path.write_text("frequency_hz,psd\n0,4\n1,4\n2,4\n")
+    np.testing.assert_array_equal(read_tabulated_psd(path, "linear", None).values, [4.0, 2.0, 4.0])
 
 
 @pytest.mark.parametrize("text", [
