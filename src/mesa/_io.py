@@ -1,16 +1,16 @@
 """File I/O for the CLI: CSV/binary readers, atomic writers and the PSD file format.
 
+This module alone knows what a CSV row is. Every table is written by
+:func:`write_table`: a header line, then rows of cells with 17 significant
+digits, so values round-trip exactly, joined by commas.
+
 Every PSD file is one-sided and every density in memory two-sided; the
 fold between them, doubled on write and halved on read, lives here alone.
-
-All floating-point text output uses 17 significant digits so values
-round-trip exactly.
 """
 from __future__ import annotations
 
 import json
 import os
-import re
 import tempfile
 from pathlib import Path
 
@@ -38,11 +38,6 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
-# A line of nothing but commas (and blanks) is an empty row to the line
-# parser, but a blank line to np.loadtxt. Search "\n" + text so that the
-# first line is checked too.
-_COMMAS_ONLY = re.compile(r"\n[^\S\n]*,[\s,]*(?:\n|\Z)")
-
 # Characters decoded per read: the reader's memory is a chunk of text and
 # the rows parsed so far, not the whole file.
 _CHUNK_CHARS = 1 << 16
@@ -60,21 +55,19 @@ def _loadtxt_lines(handle, text: str):
     """Lines of ``text`` and then of the rest of ``handle``, commas made blanks.
 
     The file is read a chunk at a time and each chunk is cut after its last
-    newline, so every line is checked and converted whole. Raises
-    ``ValueError``, the error that sends the caller to the line parser, on
-    a line of nothing but commas and at the end of a file that holds only
-    blanks, before np.loadtxt sees the end (and warns of empty input).
+    newline, so every line is converted whole. Raises ``ValueError``, the
+    error that sends the caller to the line parser, at the end of a file
+    that holds only blanks and commas, before np.loadtxt sees the end (and
+    warns of empty input).
     """
     blank = True
     while True:
         chunk = handle.read(_CHUNK_CHARS)
         text += chunk
         cut = text.rfind("\n") + 1 if chunk else len(text)
-        lines, text = text[:cut], text[cut:]
-        if _COMMAS_ONLY.search("\n" + lines):
-            raise ValueError("a line of nothing but commas")
+        lines, text = text[:cut].replace(",", " "), text[cut:]
         blank = blank and (not lines or lines.isspace())
-        yield from lines.replace(",", " ").split("\n")
+        yield from lines.split("\n")
         if not chunk:
             if blank:
                 raise ValueError("no data")
@@ -84,11 +77,12 @@ def _loadtxt_lines(handle, text: str):
 def _read_numeric_rows(path) -> np.ndarray:
     """Parse a numeric table whose cells are separated by commas and/or whitespace.
 
-    Blank lines are skipped, and so is a first line that does not parse (a
-    header). A file that is not UTF-8 text is rejected. One C-level
-    ``np.loadtxt`` pass, fed the file in chunks, reads well-formed files;
-    any other file goes through :func:`_read_numeric_lines`, which gives
-    the same values or says what is wrong.
+    Blank lines, and lines of nothing but blanks and commas, are skipped,
+    and so is a first line that does not parse (a header). A file that is
+    not UTF-8 text is rejected. One C-level ``np.loadtxt`` pass, fed the
+    file in chunks, reads well-formed files; any other file goes through
+    :func:`_read_numeric_lines`, which gives the same values or says what
+    is wrong.
     """
     try:
         with open(path, "r", encoding="utf-8-sig") as handle:
@@ -108,26 +102,29 @@ def _read_numeric_rows(path) -> np.ndarray:
 
 def _read_numeric_lines(path) -> np.ndarray:
     """Line-by-line parse with one Python ``float()`` per cell: slow, but it
-    names the first row that is wrong."""
-    rows = []
+    names the first row that is wrong, whichever way it is wrong, and keeps
+    8 bytes a value."""
+    from array import array  # here, so that a file np.loadtxt reads never loads it
+
+    values, width = array("d"), 0
     with open(path, "r", encoding="utf-8-sig") as handle:
         for lineno, line in enumerate(handle):
-            line = line.strip()
-            if not line:
+            cells = line.replace(",", " ").split()
+            if not cells:
                 continue
-            parts = [p for p in line.replace(",", " ").split() if p]
             try:
-                rows.append([float(p) for p in parts])
+                row = [float(cell) for cell in cells]
             except ValueError:
                 if lineno == 0:
                     continue  # header line
-                raise ValidationError(f"{path}: unparseable row {lineno + 1}: {line!r}")
-    if not rows:
+                raise ValidationError(f"{path}: unparseable row {lineno + 1}: {line.strip()!r}")
+            width = width or len(row)
+            if len(row) != width:
+                raise ValidationError(f"{path}: inconsistent column count at row {lineno + 1}")
+            values.extend(row)
+    if not width:
         raise ValidationError(f"{path}: no data rows")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise ValidationError(f"{path}: inconsistent column count")
-    return np.asarray(rows, dtype=np.float64)
+    return np.frombuffer(values, dtype=np.float64).reshape(-1, width)
 
 
 def read_timeseries(path, dt: float | None = None, binary: bool = False) -> TimeSeries:
@@ -158,6 +155,13 @@ def read_timeseries(path, dt: float | None = None, binary: bool = False) -> Time
             raise ValidationError(f"{path}: --dt disagrees with the file's time column")
         return TimeSeries(samples=values, dt=mean_dt)
     raise ValidationError(f"{path}: expected 1 or 2 columns, found {data.shape[1]}")
+
+
+def write_table(path, header, columns) -> None:
+    """Write equal-length ``columns`` as CSV under a line of ``header`` names."""
+    rows = zip(*(map(fmt, column) for column in columns))
+    lines = [",".join(header), *map(",".join, rows)]
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def write_timeseries_csv(path, ts: TimeSeries) -> None:
@@ -191,21 +195,16 @@ def read_tabulated_psd(path, interpolation: str, dt: float | None) -> TabulatedP
     return TabulatedPsd(freqs=freqs, values=values, interpolation=interpolation)
 
 
-def write_psd_csv(path, sd: SpectralDensity, dt: float, one_sided: bool) -> None:
-    """Write a density on [0, Nyquist] as ``frequency_hz,psd`` CSV, the only PSD writer.
+def write_psd_csv(path, sd: SpectralDensity, dt: float) -> None:
+    """Write a density on [0, Nyquist] as one-sided ``frequency_hz,psd`` CSV.
 
-    ``one_sided`` folds the two-sided density first, doubling every bin
-    strictly inside (0, Nyquist); :func:`read_tabulated_psd` undoes it.
+    The two-sided density is folded: every bin strictly inside
+    (0, Nyquist) is doubled, and :func:`read_tabulated_psd` undoes it.
     Nyquist comes from ``dt``, not from the grid: an odd-length DFT grid
-    ends below it. Only a quantity that is not a density (a relative error
-    curve) is written unfolded.
+    ends below it.
     """
-    values = sd.values
-    if one_sided:
-        values = np.where(_interior(sd.freqs, 0.5 / dt), 2.0 * values, values)
-    lines = ["frequency_hz,psd"]
-    lines += [f"{fmt(f)},{fmt(v)}" for f, v in zip(sd.freqs, values)]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    values = np.where(_interior(sd.freqs, 0.5 / dt), 2.0 * sd.values, sd.values)
+    write_table(path, ("frequency_hz", "psd"), (sd.freqs, values))
 
 
 def write_json(path, payload) -> None:

@@ -37,8 +37,8 @@ def _positive_int(text: str) -> int:
 
 def _nonneg_float(text: str) -> float:
     value = float(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative number, got {text}")
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite non-negative number, got {text}")
     return value
 
 
@@ -181,7 +181,7 @@ def cmd_estimate(args) -> int:
     sel = selection.select_order(trace, args.criterion)
     model = trace.model(sel.chosen_order)
     sd = spectrum.psd(model, grid)
-    _io.write_psd_csv(f"{args.out_prefix}_psd.csv", sd, ts.dt, True)
+    _io.write_psd_csv(f"{args.out_prefix}_psd.csv", sd, ts.dt)
     _io.write_json(f"{args.out_prefix}_model.json", model.to_dict())
     _io.write_json(f"{args.out_prefix}_selection.json", sel.to_dict())
     return 0
@@ -198,12 +198,8 @@ def cmd_forecast(args) -> int:
     ens = run_forecast(model, seed_ts, args.horizon, args.n_realizations,
                        args.seed, args.noise_scale)
     summary = forecast_summary(ens, levels)
-    lines = [",".join(summary.column_names())]
-    for j, step in enumerate(summary.steps):
-        cells = [str(int(step)), _io.fmt(summary.median[j])]
-        cells += [_io.fmt(summary.quantiles[k, j]) for k in range(len(levels))]
-        lines.append(",".join(cells))
-    _io.atomic_write_text(args.out, "\n".join(lines) + "\n")
+    _io.write_table(args.out, summary.column_names(),
+                    (summary.steps, summary.median, *summary.quantiles))
     return 0
 
 
@@ -234,12 +230,15 @@ def cmd_welch(args) -> int:
     ts = _io.read_timeseries(args.infile, dt=args.dt, binary=args.binary)
     window = baseline.tukey_window(args.segment, args.tukey)
     sd = baseline.welch_psd(ts, args.segment, args.overlap, window, detrend=args.detrend)
-    _io.write_psd_csv(args.out, sd, ts.dt, True)
+    _io.write_psd_csv(args.out, sd, ts.dt)
     return 0
 
 
 def cmd_compare(args) -> int:
-    n = int(round(args.duration * args.fs))
+    samples = args.duration * args.fs
+    if not math.isfinite(samples):
+        raise ValidationError(f"--duration * --fs must be finite, got {args.duration} * {args.fs}")
+    n = int(round(samples))
     if n < 2 or n % 2:
         raise ValidationError(f"duration*fs must be an even sample count, got {n}")
     dt = 1.0 / args.fs
@@ -259,8 +258,8 @@ def cmd_compare(args) -> int:
     mesa_err = validate.relative_error_freq_avg(mesa_sd, truth)
     welch_err = validate.relative_error_freq_avg(welch_sd, truth)
 
-    _io.write_psd_csv(f"{args.out_prefix}_mesa_psd.csv", mesa_sd, dt, True)
-    _io.write_psd_csv(f"{args.out_prefix}_welch_psd.csv", welch_sd, dt, True)
+    _io.write_psd_csv(f"{args.out_prefix}_mesa_psd.csv", mesa_sd, dt)
+    _io.write_psd_csv(f"{args.out_prefix}_welch_psd.csv", welch_sd, dt)
     _io.write_json(
         f"{args.out_prefix}_metrics.json",
         {
@@ -299,9 +298,10 @@ def cmd_experiment_gaussian(args) -> int:
             "error": _quantile_summary(result.errors),
         },
     )
-    _io.write_psd_csv(f"{args.out_prefix}_mean_psd.csv", result.mean_psd, args.dt, True)
+    _io.write_psd_csv(f"{args.out_prefix}_mean_psd.csv", result.mean_psd, args.dt)
     # a dimensionless relative error, not a density: never folded
-    _io.write_psd_csv(f"{args.out_prefix}_error_curve.csv", result.error_curve, args.dt, False)
+    _io.write_table(f"{args.out_prefix}_error_curve.csv", ("frequency_hz", "psd"),
+                    (result.error_curve.freqs, result.error_curve.values))
     return 0
 
 

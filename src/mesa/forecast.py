@@ -20,6 +20,7 @@ rejected with ``ValidationError``.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,8 +67,8 @@ def forecast(
         raise ValidationError("horizon must be >= 1")
     if n_realizations < 1:
         raise ValidationError("need at least one realization")
-    if noise_scale < 0:
-        raise ValidationError("noise_scale must be >= 0")
+    if not 0 <= noise_scale < math.inf:
+        raise ValidationError(f"noise_scale must be finite and >= 0, got {noise_scale!r}")
 
     if m:
         z, h = _continuation_and_response(model, seed, horizon)

@@ -30,6 +30,9 @@ def relative_error_freq_avg(estimate: SpectralDensity, truth: SpectralDensity) -
 
 def gaussian_bump(mu: float, sigma: float):
     """Analytic Gaussian-bump PSD curve (arbitrary units), usable as a target."""
+    if not (np.isfinite(mu) and 0 < sigma < np.inf):
+        raise ValidationError(f"gaussian_bump needs a finite mu and a finite sigma > 0, "
+                              f"got mu={mu!r}, sigma={sigma!r}")
 
     def curve(f):
         f = np.asarray(f, dtype=np.float64)

@@ -2,6 +2,8 @@
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +15,7 @@ from scipy.signal import welch as scipy_welch
 import mesa
 from mesa._io import fmt, read_tabulated_psd, read_timeseries
 from mesa.baseline import tukey_window
-from mesa.cli import main
+from mesa.cli import build_parser, main
 from mesa.core import ArModel
 from mesa.estimator import fit
 from mesa.selection import max_order
@@ -377,6 +379,15 @@ def test_compare_command(tmp_path):
         assert (tmp_path / ("cmp" + suffix)).exists()
 
 
+@pytest.mark.parametrize("duration, fs", [("1", "inf"), ("nan", "128"), ("1e300", "1e300")])
+def test_compare_refuses_a_non_finite_sample_count(tmp_path, capsys, duration, fs):
+    tab = write_tabulated(tmp_path / "target.csv")
+    assert run(["compare", "--psd", tab, "--duration", duration, "--fs", fs, "--seed", "5",
+                "--out-prefix", tmp_path / "cmp"]) == 2
+    assert "--duration * --fs must be finite" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["target.csv"]
+
+
 def test_compare_and_welch_fold_an_odd_segment_as_scipy_does(tmp_path):
     # an odd segment's last bin lies below Nyquist, so it is doubled too
     tab = write_tabulated(tmp_path / "target.csv")
@@ -531,3 +542,43 @@ def test_estimate_exactly_periodic_series_exit_code(tmp_path, capsys, n):
     assert run(["estimate", "--in", path, "--dt", "1.0", "--out-prefix", tmp_path / "p"]) == 3
     assert f"mesa: numerical error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "p_model.json").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_forecast_refuses_a_non_finite_noise_scale(tmp_path, capsys, value):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(ArModel(a=[1.0, -0.5], p_m=1.0, dt=1.0).to_dict()))
+    data = tmp_path / "seed.csv"
+    data.write_text("0.0\n1.0\n")
+    with pytest.raises(SystemExit) as err:
+        run(["forecast", "--model", model, "--in", data, "--dt", "1.0", "--horizon", "3",
+             "--seed", "1", "--noise-scale", value, "--out", tmp_path / "fc.csv"])
+    assert err.value.code == 2
+    assert f"expected a finite non-negative number, got {value}" in capsys.readouterr().err
+    assert not (tmp_path / "fc.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--psd-gaussian", "2.5", "-0.5", "--n", "64", "--out", "{tmp}/g.csv"],
+    ["generate", "--psd-gaussian", "2.5", "0", "--n", "64", "--out", "{tmp}/g.csv"],
+    ["generate", "--psd-gaussian", "2.5", "inf", "--n", "64", "--out", "{tmp}/g.csv"],
+    ["experiment", "gaussian", "--n-realizations", "1", "--n-samples", "64", "--mu", "nan",
+     "--out-prefix", "{tmp}/exp"],
+], ids=["negative-sigma", "zero-sigma", "infinite-sigma", "nan-mu"])
+def test_gaussian_target_parameters_are_checked(tmp_path, capsys, argv):
+    assert run([a.format(tmp=tmp_path) for a in argv] + ["--seed", "1"]) == 2
+    assert "finite mu and a finite sigma > 0" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_readme_command_line_block_parses():
+    # every command the README shows must still be accepted by the parser
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1]
+    block = re.search(r"```\n(.*?)```", section, re.S).group(1).replace("\\\n", " ")
+    commands = [line for line in block.splitlines() if line.startswith("mesa ")]
+    assert len(commands) == 9
+    parser = build_parser()
+    for line in commands:
+        args = parser.parse_args(shlex.split(line)[1:])
+        assert callable(args.func), line

@@ -1,5 +1,7 @@
 """Conditional forecasting: recursion, determinism, calibration."""
+import importlib
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -142,6 +144,18 @@ def test_forecast_rejects_explosive_models(b, tmp_path):
                  "--horizon", "1000", "--n-realizations", "4", "--seed", "0",
                  "--out", str(tmp_path / "fc.csv")]) == 2
     assert not (tmp_path / "fc.csv").exists()
+
+
+@pytest.mark.parametrize("noise_scale", [-1.0, math.nan, math.inf])
+def test_forecast_refuses_a_noise_scale_before_drawing(monkeypatch, noise_scale):
+    def no_draw(*args):
+        raise AssertionError("noise was drawn before noise_scale was checked")
+
+    # the package exports the function under the module's name
+    monkeypatch.setattr(importlib.import_module("mesa.forecast"), "make_rng", no_draw)
+    model = ArModel(a=[1.0, -0.5], p_m=1.0, dt=1.0)
+    with pytest.raises(ValidationError, match=f"noise_scale must be finite and >= 0, got {noise_scale}"):
+        forecast(model, TimeSeries([0.5, 1.0], dt=1.0), 10, 4, rng_seed=0, noise_scale=noise_scale)
 
 
 def test_members_independent_of_ensemble_size():

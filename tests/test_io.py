@@ -33,7 +33,7 @@ def float_oracle(text: str) -> np.ndarray:
     ("t,x\n0,1.0\n1,2.0\n2,oops\n", "unparseable row 4: '2,oops'"),
     ("\nheader\n1.0\n", "unparseable row 2: 'header'"),
     ("1.0\n2.0\n3.0,4.0\n", "inconsistent column count"),
-    ("1.0,2.0\n,\n3.0,4.0\n", "inconsistent column count"),
+    ("1.0,2.0\n3.0\nabc\n", "inconsistent column count at row 2"),
     ("", "no data rows"),
     ("\n  \n\n", "no data rows"),
     ("time,value\n", "no data rows"),
@@ -72,7 +72,7 @@ def test_tabulated_psd_halves_what_the_psd_writer_doubles(tmp_path, n):
     f = np.fft.rfftfreq(n, dt)
     sd = SpectralDensity(freqs=f, values=1.0 + f)
     path = tmp_path / "psd.csv"
-    write_psd_csv(path, sd, dt, True)
+    write_psd_csv(path, sd, dt)
     written = np.loadtxt(path, delimiter=",", skiprows=1)[:, 1]
     assert (written[-1] == sd.values[-1]) == (n % 2 == 0)
     np.testing.assert_array_equal(read_tabulated_psd(path, "linear", dt).values, sd.values)
@@ -98,6 +98,21 @@ def test_csv_layouts_parse_to_the_same_array(tmp_path, text):
     data = _read_numeric_rows(path)
     np.testing.assert_array_equal(data, [[1.5, 2.5], [3.5, 4.5]])
     assert data.dtype == np.float64
+
+
+@pytest.mark.parametrize("reader", [_read_numeric_rows, _read_numeric_lines])
+def test_rows_of_only_commas_and_blanks_are_blank_lines(tmp_path, reader):
+    # a spreadsheet saves an empty row of a two-column sheet as ","
+    clean = tmp_path / "clean.csv"
+    clean.write_text("t,x\n0.0,1.5\n0.5,2.5\n1.0,3.5\n")
+    padded = tmp_path / "padded.csv"
+    padded.write_text("t,x\n,\n0.0,1.5\n,\n0.5,2.5\n , \n,,\t,\n1.0,3.5\n,\n")
+    assert reader(padded).tobytes() == reader(clean).tobytes()
+    assert reader(padded).shape == (3, 2)
+    empty = tmp_path / "empty.csv"
+    empty.write_text(",\n , \n\n,,\n")
+    with pytest.raises(ValidationError, match="no data rows"):
+        reader(empty)
 
 
 def test_reader_is_bitwise_equal_to_per_token_float(tmp_path):
@@ -209,3 +224,26 @@ def test_reader_memory_does_not_grow_with_the_text(tmp_path):
         tracemalloc.stop()
     assert data[:, 0].tobytes() == values.tobytes()
     assert peak < 4_000_000  # the 1.6 MB of doubles, not the text
+
+
+@pytest.mark.parametrize("last, outcome", [("abc", "unparseable row 200000: 'abc'"), ("1_0", 10.0)])
+def test_line_reader_memory_does_not_grow_with_the_rows(tmp_path, last, outcome):
+    # a last row np.loadtxt refuses sends the whole file through the line loop:
+    # "abc" parses nowhere, "1_0" is a number to Python's float() alone
+    path = tmp_path / "big.csv"
+    values = np.random.default_rng(8).standard_normal(199_999)
+    path.write_text("\n".join(fmt(v) for v in values) + f"\n{last}\n")
+    tracemalloc.start()
+    try:
+        try:
+            data = _read_numeric_rows(path)
+        except ValidationError as exc:
+            data = str(exc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    if isinstance(outcome, str):
+        assert outcome in data
+    else:
+        assert data[:-1, 0].tobytes() == values.tobytes() and data[-1, 0] == outcome
+    assert peak < 4_000_000  # 8 bytes a value, not a Python list a row

@@ -224,21 +224,24 @@ def test_autocorr_grid_validation():
 
 # --- the one-sided fold of the PSD file -----------------------------------------------
 
-def emitted(tmp_path, sd, one_sided, dt):
+def emitted(tmp_path, sd, dt):
     path = tmp_path / "psd.csv"
-    _io.write_psd_csv(path, sd, dt, one_sided)
+    _io.write_psd_csv(path, sd, dt)
     return np.loadtxt(path, delimiter=",", skiprows=1)
 
 
 def test_emitted_fold_doubles_inside_the_band_and_conserves_power(tmp_path):
     model = ArModel(a=[1.0, -0.7], p_m=1.0, dt=1.0)
     two = psd(model, frequency_grid(513, 1.0))
-    one = emitted(tmp_path, two, True, 1.0)
+    one = emitted(tmp_path, two, 1.0)
     np.testing.assert_array_equal(one[:, 0], two.freqs)
     assert one[0, 1] == two.values[0]
     assert one[-1, 1] == two.values[-1]
     np.testing.assert_array_equal(one[1:-1, 1], 2 * two.values[1:-1])
-    np.testing.assert_array_equal(emitted(tmp_path, two, False, 1.0)[:, 1], two.values)
+    # the table writer under it writes the values as they are
+    _io.write_table(tmp_path / "table.csv", ("frequency_hz", "psd"), (two.freqs, two.values))
+    np.testing.assert_array_equal(np.loadtxt(tmp_path / "table.csv", delimiter=",", skiprows=1),
+                                  np.column_stack([two.freqs, two.values]))
     # total power matches the symmetric integral up to the undoubled-endpoint
     # discretization (shrinks with the grid)
     sym = psd(model, np.linspace(-0.5, 0.5, 1025))
@@ -255,8 +258,7 @@ def test_emitted_fold_reads_nyquist_from_dt(tmp_path, n, dt, last_doubled):
     # and 71.42857142857142 at dt 0.007, against 166.66666666666666 and
     # 71.42857142857143
     freqs = np.fft.rfftfreq(n, dt)
-    one = emitted(tmp_path, SpectralDensity(freqs=freqs, values=np.ones(freqs.size)),
-                  True, dt)
+    one = emitted(tmp_path, SpectralDensity(freqs=freqs, values=np.ones(freqs.size)), dt)
     assert one[0, 1] == 1.0
     np.testing.assert_array_equal(one[1:-1, 1], 2.0)
     assert one[-1, 1] == (2.0 if last_doubled else 1.0)

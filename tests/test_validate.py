@@ -133,6 +133,15 @@ def test_order_recovery_empty():
     assert run_order_recovery(0, 2, 20, 4000, rng_seed=3) == ()
 
 
+@pytest.mark.parametrize("mu, sigma", [(2.5, 0.0), (2.5, -0.5), (2.5, np.inf), (2.5, np.nan),
+                                       (np.inf, 0.5), (np.nan, 0.5)])
+def test_gaussian_bump_needs_finite_mu_and_positive_finite_sigma(mu, sigma):
+    with pytest.raises(ValidationError, match="finite mu and a finite sigma > 0"):
+        gaussian_bump(mu, sigma)
+    with pytest.raises(ValidationError, match="finite mu and a finite sigma > 0"):
+        run_gaussian_experiment(1, 200, "fpe", rng_seed=0, mu=mu, sigma=sigma)
+
+
 def test_gaussian_bump_curve():
     curve = gaussian_bump(2.5, 0.5)
     assert curve(np.array([2.5]))[0] == 1.0
