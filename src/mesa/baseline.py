@@ -5,9 +5,6 @@ import numpy as np
 
 from mesa.core import SpectralDensity, TimeSeries, ValidationError
 
-# segment lengths used by the qualitative comparison presets
-SEGMENT_PRESETS = (512, 1024, 2048, 8192, 32768)
-
 
 def tukey_window(n: int, alpha: float) -> np.ndarray:
     """Symmetric tapered-cosine window: flat top, cosine ramps of fraction alpha.

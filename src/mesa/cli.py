@@ -112,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("welch", help="Welch PSD baseline")
     _add_input_args(p)
     p.add_argument("--segment", type=_positive_int, required=True,
-                   help=f"segment length (presets: {', '.join(map(str, baseline.SEGMENT_PRESETS))})")
+                   help="segment length")
     p.add_argument("--overlap", type=float, default=0.5)
     p.add_argument("--tukey", type=float, default=0.4, help="Tukey taper fraction")
     p.add_argument("--detrend", action="store_true", help="subtract each segment's mean")
@@ -176,8 +176,7 @@ def cmd_estimate(args) -> int:
         grid = spectrum.frequency_grid(args.n_freqs, ts.dt)
     if args.demean:
         ts = TimeSeries(samples=ts.samples - ts.samples.mean(), dt=ts.dt)
-    max_order = args.max_order if args.max_order is not None else selection.max_order(len(ts))
-    trace = fit(ts, max_order, criterion=args.criterion, patience=args.patience)
+    trace = fit(ts, args.max_order, criterion=args.criterion, patience=args.patience)
     sel = selection.select_order(trace, args.criterion)
     model = trace.model(sel.chosen_order)
     sd = spectrum.psd(model, grid)
@@ -245,8 +244,7 @@ def cmd_compare(args) -> int:
     target = _io.read_tabulated_psd(args.psd, args.psd_interp, dt)
     ts = synth.generate_from_psd(target, n, dt, args.seed)
 
-    max_order = selection.max_order(n)
-    trace = fit(ts, max_order, criterion=args.criterion, patience=args.patience)
+    trace = fit(ts, criterion=args.criterion, patience=args.patience)
     sel = selection.select_order(trace, args.criterion)
     model = trace.model(sel.chosen_order)
 

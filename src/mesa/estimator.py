@@ -20,7 +20,7 @@ from mesa.core import (
     ValidationError,
     _levinson_update,
 )
-from mesa.selection import default_patience, scan_orders
+from mesa.selection import default_patience, max_order as order_bound, scan_orders
 
 
 def _fft_length(n: int) -> int:
@@ -168,12 +168,12 @@ def _fast_then_lattice(x: np.ndarray, max_order: int):
 
 def fit(
     ts: TimeSeries,
-    max_order: int,
+    max_order: int | None = None,
     *,
     criterion: Criterion | str | None = None,
     patience: float | None = None,
 ) -> RecursionTrace:
-    """Run Burg's recursion on ``ts`` up to ``max_order``.
+    """Run Burg's recursion on ``ts`` up to ``max_order`` (default 2N/ln(2N)).
 
     The trace holds the powers and reflection coefficients only; each
     order's coefficient vector is rebuilt from them on demand. The power
@@ -189,15 +189,21 @@ def fit(
 
     The coefficients do not depend on the data's units: a series scaled by
     2^k has the same ``c`` bit for bit, and its powers are 4^k times as
-    large while they stay normal floats. A series whose power x.x/N is not
-    a finite normal float raises ``ValidationError``. A
-    ``DegenerateModelError`` is raised for a zero-variance series and,
-    once the recursion is asked for it, for an order whose prediction errors
-    vanish: on both paths the order after one of exactly zero power, which
-    predicts the series exactly. A loss undefined at every order raises
-    ``UndefinedLossError`` here rather than in ``select_order``.
+    large while they stay normal floats. A ``max_order`` that is not an
+    integer, or a series whose power x.x/N is not a finite normal float,
+    raises ``ValidationError``. A ``DegenerateModelError`` is raised for a
+    zero-variance series and, once the recursion is asked for it, for an
+    order whose prediction errors vanish: on both paths the order after one
+    of exactly zero power, which predicts the series exactly. A loss
+    undefined at every order raises ``UndefinedLossError`` here rather than
+    in ``select_order``.
     """
     n = len(ts)
+    if max_order is None:
+        max_order = order_bound(n)
+    if not isinstance(max_order, (int, np.integer)):
+        raise ValidationError(f"max_order must be an integer, got {max_order!r}")
+    max_order = int(max_order)
     if not 1 <= max_order <= n - 1:
         raise ValidationError(f"max_order must be in [1, {n - 1}], got {max_order}")
     if criterion is not None:

@@ -81,8 +81,8 @@ def psd(model: ArModel, freqs: np.ndarray | None = None) -> SpectralDensity:
         freqs = frequency_grid(default_grid_size(model.order), model.dt)
     freqs = np.asarray(freqs, dtype=np.float64)
     bound = ny * (1 + 1e-12)
-    if freqs.size and (freqs.min() < -bound or freqs.max() > bound):
-        raise ValidationError("frequency outside the Nyquist band")
+    if freqs.size and not (freqs.min() >= -bound and freqs.max() <= bound):
+        raise ValidationError("frequencies must be finite and inside the Nyquist band")
 
     if _is_canonical_positive(freqs, ny):
         den = _denominator_fft(model.a, freqs.size)

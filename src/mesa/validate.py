@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mesa import selection, spectrum
+from mesa import spectrum
 from mesa._rng import derive_seed
 from mesa.core import Criterion, SpectralDensity, ValidationError
 from mesa.estimator import fit
@@ -79,12 +79,12 @@ def run_gaussian_experiment(
 ) -> GaussianExperimentResult:
     """Estimate the spectrum of colored noise with a Gaussian-bump target.
 
-    Each realization draws fresh noise from the target, runs the recursion
-    as far as the order scan of ``criterion`` reads it, selects the order and
-    scores the model PSD against the analytic curve on a fixed grid. The
-    ensemble statistics are running sums over the realizations, so memory
-    does not grow with ``n_realizations``; they equal ``np.mean`` of the
-    stacked PSDs and of the stacked per-frequency relative errors.
+    Each realization draws fresh noise from the target, fits it up to order
+    2N/ln(2N) or until the order scan of ``criterion`` stops, selects the
+    order and scores the model PSD against the analytic curve on a fixed
+    grid. The ensemble statistics are running sums over the realizations,
+    so memory does not grow with ``n_realizations``; they equal ``np.mean``
+    of the stacked PSDs and of the stacked per-frequency relative errors.
     """
     if n_realizations < 1:
         raise ValidationError("need at least one realization")
@@ -94,13 +94,12 @@ def run_gaussian_experiment(
     truth = SpectralDensity(freqs=grid, values=curve(grid))
     if (truth.values <= 0).any():
         raise ValidationError("truth PSD must be strictly positive")
-    m_max = selection.max_order(n_samples)
     psd_sum = np.zeros(n_freqs)
     error_sum = np.zeros(n_freqs)
     records = []
     for i in range(n_realizations):
         ts = generate_from_psd(curve, n_samples, dt, derive_seed(rng_seed, i))
-        trace = fit(ts, m_max, criterion=criterion)
+        trace = fit(ts, criterion=criterion)
         order = select_order(trace, criterion).chosen_order
         # the read-only grid is shared by every estimate, never copied
         est = spectrum.psd(trace.model(order), truth.freqs).values
@@ -136,17 +135,16 @@ def run_order_recovery(
 ) -> tuple:
     """Fit random AR(p) processes and record the order picked by each criterion.
 
-    Each model's recursion runs to the full order bound and is scanned in
+    Each model is fitted to ``fit``'s default bound 2N/ln(2N) and scanned in
     full by ``fpe``, ``cat-invsum`` and ``obd``: the ``cat-invsum`` loss has
     local minima far below its global one, where an early stop would end.
     """
     criteria = (Criterion.FPE, Criterion.CAT_INVSUM, Criterion.OBD)
-    m_max = selection.max_order(n_samples)
 
     def one(j: int) -> OrderRecoveryRecord:
         model = random_ar_model(derive_seed(rng_seed, j, 0), p_min, p_max)
         ts = generate_ar(model, n_samples, rng_seed=derive_seed(rng_seed, j, 1))
-        trace = fit(ts, m_max)
+        trace = fit(ts)
         p_hat = {c.value: select_order(trace, c).chosen_order for c in criteria}
         return OrderRecoveryRecord(index=j, p_true=model.order, p_hat=p_hat)
 

@@ -30,7 +30,6 @@ PUBLIC_NAMES = [
     "frequency_grid",
     "generate_ar",
     "generate_from_psd",
-    "max_order",
     "psd",
     "random_ar_model",
     "reflection_coefficients",
@@ -61,13 +60,12 @@ PUBLIC_SIGNATURES = {
     "SpectralDensity": "freqs, values",
     "TabulatedPsd": "freqs, values, interpolation=",
     "TimeSeries": "samples, dt",
-    "fit": "ts, max_order, *, criterion=, patience=",
+    "fit": "ts, max_order=, *, criterion=, patience=",
     "forecast": "model, seed, horizon, n_realizations, rng_seed, noise_scale=",
     "forecast_summary": "ens, quantiles=",
     "frequency_grid": "n_freqs, dt",
     "generate_ar": "model, n, burn_in=, *, rng_seed",
     "generate_from_psd": "target, n, dt, rng_seed",
-    "max_order": "n",
     "psd": "model, freqs=",
     "random_ar_model": "rng_seed, p_min=, p_max=",
     "reflection_coefficients": "a",

@@ -179,6 +179,31 @@ def test_fit_validates_order():
         fit(ts, 10)
 
 
+@pytest.mark.parametrize("n", [3000, 20000], ids=["lattice", "fast-burg"])
+@pytest.mark.parametrize("bad", [5.0, np.float64(5.0), "5"], ids=["float", "np.float64", "str"])
+def test_fit_refuses_a_non_integer_order(n, bad):
+    ts = TimeSeries(np.random.default_rng(6).standard_normal(n), dt=1.0)
+    with pytest.raises(ValidationError, match="max_order must be an integer"):
+        fit(ts, bad)
+    np.testing.assert_array_equal(fit(ts, np.int64(5)).c, fit(ts, 5).c)
+
+
+@pytest.mark.parametrize("n", [3000, 20000], ids=["lattice", "fast-burg"])
+@pytest.mark.parametrize("criterion", [None, "fpe", "obd"])
+def test_fit_defaults_to_the_order_bound(n, criterion):
+    # max_order=None is selection.max_order(N), and so is the default patience's M
+    ts = TimeSeries(ar_series([1.0, -0.9, 0.5], n, seed=11), dt=1.0)
+    default = fit(ts, criterion=criterion)
+    bounded = fit(ts, max_order(n), criterion=criterion)
+    np.testing.assert_array_equal(default.p, bounded.p)
+    np.testing.assert_array_equal(default.c, bounded.c)
+    if criterion is None:
+        assert default.max_order == max_order(n) and default.selection is None
+    else:
+        assert default.selection.early_stopped and bounded.selection.early_stopped
+        np.testing.assert_array_equal(default.selection.losses, bounded.selection.losses)
+
+
 def test_fit_zero_signal_degenerate():
     ts = TimeSeries(np.zeros(64), dt=1.0)
     with pytest.raises(DegenerateModelError):

@@ -149,6 +149,14 @@ def test_psd_rejects_frequencies_beyond_nyquist():
         psd(model, np.array([0.0, 0.6]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_psd_rejects_a_non_finite_frequency(bad):
+    # every comparison with NaN is false, so the band test must hold, not fail
+    model = ArModel(a=[1.0, -0.5], p_m=1.0, dt=0.1)
+    with pytest.raises(ValidationError, match="finite"):
+        psd(model, np.array([0.0, 1.0, bad]))
+
+
 def test_psd_positive_when_reflections_inside_circle():
     rng = np.random.default_rng(31)
     x = rng.standard_normal(4000)
