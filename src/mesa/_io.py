@@ -2,7 +2,8 @@
 
 This module alone knows what a CSV row is. Every table is written by
 :func:`write_table`: a header line, then rows of cells with 17 significant
-digits, so values round-trip exactly, joined by commas.
+digits, so values round-trip exactly, joined by commas. Every table is
+read by ``np.loadtxt``, or by a line loop that gives the same values.
 
 Every PSD file is one-sided and every density in memory two-sided; the
 fold between them, doubled on write and halved on read, lives here alone.
@@ -11,7 +12,9 @@ from __future__ import annotations
 
 import json
 import os
+import stat
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -38,11 +41,6 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
-# Characters decoded per read: the reader's memory is a chunk of text and
-# the rows parsed so far, not the whole file.
-_CHUNK_CHARS = 1 << 16
-
-
 def _parses(line: str) -> bool:
     try:
         [float(p) for p in line.replace(",", " ").split()]
@@ -51,77 +49,64 @@ def _parses(line: str) -> bool:
     return True
 
 
-def _loadtxt_lines(handle, text: str):
-    """Lines of ``text`` and then of the rest of ``handle``, commas made blanks.
-
-    The file is read a chunk at a time and each chunk is cut after its last
-    newline, so every line is converted whole. Raises ``ValueError``, the
-    error that sends the caller to the line parser, at the end of a file
-    that holds only blanks and commas, before np.loadtxt sees the end (and
-    warns of empty input).
-    """
-    blank = True
-    while True:
-        chunk = handle.read(_CHUNK_CHARS)
-        text += chunk
-        cut = text.rfind("\n") + 1 if chunk else len(text)
-        lines, text = text[:cut].replace(",", " "), text[cut:]
-        blank = blank and (not lines or lines.isspace())
-        yield from lines.split("\n")
-        if not chunk:
-            if blank:
-                raise ValueError("no data")
-            return
-
-
 def _read_numeric_rows(path) -> np.ndarray:
     """Parse a numeric table whose cells are separated by commas and/or whitespace.
 
-    Blank lines, and lines of nothing but blanks and commas, are skipped,
-    and so is a first line that does not parse (a header). A file that is
-    not UTF-8 text is rejected. One C-level ``np.loadtxt`` pass, fed the
-    file in chunks, reads well-formed files; any other file goes through
-    :func:`_read_numeric_lines`, which gives the same values or says what
-    is wrong.
+    Blank lines, lines of only blanks and commas, and a first line that does
+    not parse (a header) are skipped; a file that is not UTF-8 text is
+    rejected. ``np.loadtxt`` reads a regular file by name, split at commas
+    if the first line holds one and at blanks if not. Any other file goes
+    through :func:`_read_numeric_lines`, on the handle opened here.
     """
+    name = os.path.join(os.getcwd(), path)  # absolute, so numpy never takes it for a URL
     try:
-        with open(path, "r", encoding="utf-8-sig") as handle:
-            first = handle.readline()
-            try:
-                lines = _loadtxt_lines(handle, first if _parses(first) else "")
-                return np.loadtxt(lines, ndmin=2, comments=None)
-            except UnicodeDecodeError:  # a ValueError too, but reported below
-                raise
-            except ValueError:
-                while handle.read(_CHUNK_CHARS):  # a file that is not text says so first
+        with open(name, "r", encoding="utf-8-sig") as handle:
+            opened = os.fstat(handle.fileno())
+            if stat.S_ISREG(opened.st_mode):  # a pipe can be neither reopened nor reread
+                first = handle.readline()
+                if not name.endswith((".gz", ".bz2", ".xz", ".lzma")):  # numpy would decompress
+                    try:
+                        with warnings.catch_warnings():
+                            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                            data = np.loadtxt(name, delimiter="," if "," in first else None,
+                                              skiprows=0 if _parses(first) else 1, ndmin=2,
+                                              comments=None, encoding="utf-8-sig")
+                        if data.size and os.path.samestat(opened, os.stat(name)):
+                            return data
+                    except (OSError, ValueError):  # undecodable bytes too, which the drain reports
+                        pass
+                while handle.read(1 << 16):  # a file that is not text says so first
                     pass
+                handle.seek(0)
+            return _read_numeric_lines(path, handle)
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not a text file ({exc.reason})") from exc
-    return _read_numeric_lines(path)
 
 
-def _read_numeric_lines(path) -> np.ndarray:
+def _read_numeric_lines(path, lines=None) -> np.ndarray:
     """Line-by-line parse with one Python ``float()`` per cell: slow, but it
     names the first row that is wrong, whichever way it is wrong, and keeps
-    8 bytes a value."""
+    8 bytes a value. ``lines`` defaults to the file at ``path``."""
+    if lines is None:
+        with open(path, "r", encoding="utf-8-sig") as handle:
+            return _read_numeric_lines(path, handle)
     from array import array  # here, so that a file np.loadtxt reads never loads it
 
     values, width = array("d"), 0
-    with open(path, "r", encoding="utf-8-sig") as handle:
-        for lineno, line in enumerate(handle):
-            cells = line.replace(",", " ").split()
-            if not cells:
-                continue
-            try:
-                row = [float(cell) for cell in cells]
-            except ValueError:
-                if lineno == 0:
-                    continue  # header line
-                raise ValidationError(f"{path}: unparseable row {lineno + 1}: {line.strip()!r}")
-            width = width or len(row)
-            if len(row) != width:
-                raise ValidationError(f"{path}: inconsistent column count at row {lineno + 1}")
-            values.extend(row)
+    for lineno, line in enumerate(lines):
+        cells = line.replace(",", " ").split()
+        if not cells:
+            continue
+        try:
+            row = [float(cell) for cell in cells]
+        except ValueError:
+            if lineno == 0:
+                continue  # header line
+            raise ValidationError(f"{path}: unparseable row {lineno + 1}: {line.strip()!r}")
+        width = width or len(row)
+        if len(row) != width:
+            raise ValidationError(f"{path}: inconsistent column count at row {lineno + 1}")
+        values.extend(row)
     if not width:
         raise ValidationError(f"{path}: no data rows")
     return np.frombuffer(values, dtype=np.float64).reshape(-1, width)

@@ -62,7 +62,9 @@ def _readonly(values) -> np.ndarray:
     if (type(values) is np.ndarray and values.dtype == np.float64 and values.base is None
             and not values.flags.writeable):
         return values
-    arr = np.array(values, dtype=np.float64)
+    arr = np.array(values)
+    _require(arr.dtype.kind != "c", "values must be real, not complex")
+    arr = arr.astype(np.float64, copy=False)
     arr.flags.writeable = False
     return arr
 

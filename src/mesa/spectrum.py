@@ -23,8 +23,8 @@ def frequency_grid(n_freqs: int, dt: float) -> np.ndarray:
     """Equally spaced frequencies spanning [0, Nyquist], endpoints included."""
     if n_freqs < 2:
         raise ValidationError(f"need n_freqs >= 2, got {n_freqs}")
-    if not dt > 0:
-        raise ValidationError("dt must be > 0")
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValidationError("dt must be finite and > 0")
     return np.linspace(0.0, 1.0 / (2.0 * dt), n_freqs)
 
 
@@ -80,6 +80,8 @@ def psd(model: ArModel, freqs: np.ndarray | None = None) -> SpectralDensity:
     if freqs is None:
         freqs = frequency_grid(default_grid_size(model.order), model.dt)
     freqs = np.asarray(freqs, dtype=np.float64)
+    if freqs.ndim != 1:
+        raise ValidationError("frequencies must be a vector")
     bound = ny * (1 + 1e-12)
     if freqs.size and not (freqs.min() >= -bound and freqs.max() <= bound):
         raise ValidationError("frequencies must be finite and inside the Nyquist band")

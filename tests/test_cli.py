@@ -66,6 +66,21 @@ def test_estimate_writes_three_artifacts(tmp_path):
         [np.inf if v is None else v for v in sel["losses"]]))
 
 
+def test_estimate_demean_fits_the_series_less_its_mean(tmp_path):
+    x = 1e3 + np.random.default_rng(4).standard_normal(2000)
+    raw = tmp_path / "raw.csv"
+    raw.write_text("\n".join(fmt(v) for v in x) + "\n")
+    centred = tmp_path / "centred.csv"
+    centred.write_text("\n".join(fmt(v) for v in x - x.mean()) + "\n")
+    for prefix, path, flags in [("d", raw, ["--demean"]), ("c", centred, []), ("r", raw, [])]:
+        assert run(["estimate", "--in", path, "--dt", "0.01", *flags,
+                    "--out-prefix", tmp_path / prefix]) == 0
+    for suffix in ("_psd.csv", "_model.json", "_selection.json"):
+        demeaned = (tmp_path / f"d{suffix}").read_bytes()
+        assert demeaned == (tmp_path / f"c{suffix}").read_bytes()
+        assert demeaned != (tmp_path / f"r{suffix}").read_bytes()
+
+
 def test_estimate_cat_inverse_sum(tmp_path):
     data = write_noise(tmp_path / "noise.csv")
     prefix = tmp_path / "out"
@@ -419,6 +434,13 @@ def test_experiment_gaussian_command(tmp_path):
     assert "q50" in summary["error"]
     assert (tmp_path / "exp_mean_psd.csv").exists()
     assert (tmp_path / "exp_error_curve.csv").exists()
+
+
+def test_experiment_gaussian_refuses_a_non_finite_dt(tmp_path, capsys):
+    assert run(["experiment", "gaussian", "--n-realizations", "1", "--n-samples", "600",
+                "--seed", "1", "--dt", "inf", "--out-prefix", tmp_path / "exp"]) == 2
+    assert "dt must be finite and > 0" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_experiment_gaussian_writes_its_mean_psd_one_sided(tmp_path):

@@ -67,6 +67,16 @@ def test_armodel_invalid(a, p_m, dt):
         ArModel(a=a, p_m=p_m, dt=dt)
 
 
+def test_complex_values_are_refused():
+    # a cast to float64 would drop the imaginary part and keep another model
+    with pytest.raises(ValidationError, match="complex"):
+        ArModel(a=np.array([1.0, 0.5j]), p_m=1.0, dt=1.0)
+    with pytest.raises(ValidationError, match="complex"):
+        TimeSeries(samples=[1.0 + 1.0j, 2.0], dt=1.0)
+    with pytest.raises(ValidationError, match="complex"):
+        SpectralDensity(freqs=[0.0, 1.0], values=np.array([1.0, 1.0], dtype=complex))
+
+
 def test_trace_invariants():
     tr = RecursionTrace(p=[2.0, 1.5, 1.5], c=[-0.5, 0.0], dt=1.0, n_samples=100)
     assert tr.max_order == 2

@@ -1,20 +1,27 @@
 """CSV input: what parses, to which values, and how a bad file is reported."""
+import gzip
+import os
+import threading
 import tracemalloc
+import urllib.request
 
 import numpy as np
 import pytest
 
+from mesa import _io
 from mesa._io import (
-    _CHUNK_CHARS,
     _read_numeric_lines,
     _read_numeric_rows,
+    atomic_write_text,
     fmt,
     read_tabulated_psd,
     read_timeseries,
     write_psd_csv,
+    write_table,
+    write_timeseries_csv,
 )
 from mesa.cli import main
-from mesa.core import SpectralDensity, ValidationError
+from mesa.core import SpectralDensity, TimeSeries, ValidationError
 
 
 def estimate(path, tmp_path):
@@ -175,9 +182,133 @@ def test_fast_reader_agrees_with_line_reader_on_random_files(tmp_path):
         assert outcome(_read_numeric_rows, path) == outcome(_read_numeric_lines, path), repr(text)
 
 
-# Files longer than one read chunk: lines and a CRLF pair cut by a chunk's
-# edge, and, found only after the first chunk, what sends the reader to the
-# line loop.
+@pytest.mark.parametrize("text", [
+    "t,x\n0.0 1.5\n0.5 2.5\n",  # a comma header over blank-separated rows
+    "t,x\n0.0 1.5\n0.5,2.5\n",
+    "0.0 1.5\n0.5,2.5\n1.0,3.5\n",  # a blank-separated first line over comma rows
+    "t x\n0.0,1.5\n0.5,2.5\n",
+    "0.0 1.5\n0.5,2.5,\n",
+    "1.5,\n2.5\n",
+    "1.5\n2.5,\n",
+])
+def test_a_first_line_that_picks_the_wrong_separator_reads_as_the_line_loop(tmp_path, text):
+    path = tmp_path / "in.csv"
+    path.write_text(text)
+
+    def outcome(reader):
+        try:
+            data = reader(path)
+        except ValidationError as exc:
+            return str(exc)
+        return data.shape, data.tobytes()
+
+    assert outcome(_read_numeric_rows) == outcome(_read_numeric_lines)
+
+
+def test_written_tables_are_read_without_the_line_loop(tmp_path, monkeypatch):
+    def refuse(path, lines=None):
+        raise AssertionError(f"{path} went through the line loop")
+
+    monkeypatch.setattr(_io, "_read_numeric_lines", refuse)
+    x = np.random.default_rng(3).standard_normal(1000)
+    write_table(tmp_path / "table.csv", ("t", "x"), (np.arange(x.size) * 0.5, x))
+    write_timeseries_csv(tmp_path / "series.csv", TimeSeries(x, 0.5))
+    (tmp_path / "blank.csv").write_text("".join(f"{i} {fmt(v)}\n" for i, v in enumerate(x)))
+    for name in ("table.csv", "series.csv", "blank.csv"):
+        assert _read_numeric_rows(tmp_path / name)[:, -1].tobytes() == x.tobytes()
+
+
+@pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+def test_plain_text_with_a_compressed_name_reads_as_csv(tmp_path, suffix):
+    text = "t,x\n0.0,1.5\n0.5,2.5\n"
+    (tmp_path / "in.csv").write_text(text)
+    (tmp_path / f"in.csv{suffix}").write_text(text)
+    expected = read_timeseries(tmp_path / "in.csv")
+    ts = read_timeseries(tmp_path / f"in.csv{suffix}")
+    assert ts.samples.tobytes() == expected.samples.tobytes() and ts.dt == expected.dt
+
+
+def test_a_name_that_parses_as_a_url_is_read_from_disk(tmp_path, monkeypatch):
+    # numpy fetches a path it takes for a URL, so the reader hands it an absolute one
+    def refuse(*args, **kwargs):
+        raise AssertionError("the reader went to the network")
+
+    monkeypatch.setattr(urllib.request, "urlopen", refuse)
+    (tmp_path / "http:" / "localhost").mkdir(parents=True)
+    (tmp_path / "http:" / "localhost" / "x.csv").write_text("1.5\n2.5\n")
+    monkeypatch.chdir(tmp_path)
+    np.testing.assert_array_equal(_read_numeric_rows("http://localhost/x.csv"), [[1.5], [2.5]])
+
+
+def test_dot_dot_after_a_symlink_is_resolved_as_the_file_system_does(tmp_path, monkeypatch):
+    (tmp_path / "real" / "sub").mkdir(parents=True)
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "dir" / "link").symlink_to(tmp_path / "real" / "sub")
+    (tmp_path / "dir" / "x.csv").write_text("1.5\n")
+    (tmp_path / "real" / "x.csv").write_text("2.5\n")  # what dir/link/../x.csv opens
+    monkeypatch.chdir(tmp_path)
+    path = os.path.join("dir", "link", "..", "x.csv")
+    np.testing.assert_array_equal(_read_numeric_rows(path), [[2.5]])
+
+
+def test_a_file_replaced_while_it_is_read_gives_the_values_first_opened(tmp_path, monkeypatch):
+    path = tmp_path / "in.csv"
+    path.write_text("x\n1.5\n2.5\n")
+    loadtxt = np.loadtxt
+
+    def replace_then_load(*args, **kwargs):  # a writer renames a new file over the name
+        atomic_write_text(path, "0.5\n9.5\n8.5\n")
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", replace_then_load)
+    np.testing.assert_array_equal(_read_numeric_rows(path), [[1.5], [2.5]])
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd to name a pipe")
+@pytest.mark.parametrize("text", [  # past the first 8 KB read
+    "t,x\n" + "".join(f"{i},{fmt(i / 7)}\n" for i in range(3000)),
+    "x\n" + "1.5\n" * 3000,
+    "1.5\n" * 3000,
+    "1.5\n" * 3000 + "abc\n",
+    "1.5\n" * 3000 + "1.5 2.5\n",
+    "x\n\n",
+], ids=["header_two_columns", "header", "no_header", "bad_row", "ragged_row", "no_data"])
+def test_a_pipe_reads_as_the_same_text_in_a_file(tmp_path, text):
+    def outcome(path):
+        try:
+            data = _read_numeric_rows(path)
+        except ValidationError as exc:
+            return str(exc).replace(str(path), "<in>")
+        return data.shape, data.tobytes()
+
+    (tmp_path / "in.csv").write_text(text)
+    read_end, write_end = os.pipe()
+
+    def write():
+        with open(write_end, "w") as handle:
+            handle.write(text)
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    try:
+        piped = outcome(f"/dev/fd/{read_end}")
+    finally:
+        writer.join()
+        os.close(read_end)
+    assert piped == outcome(tmp_path / "in.csv")
+
+
+def test_a_gzip_file_is_not_a_text_file(tmp_path, capsys):
+    path = tmp_path / "in.csv.gz"
+    path.write_bytes(gzip.compress(b"1.0\n2.0\n3.0\n"))
+    assert estimate(path, tmp_path) == 2
+    assert "not a text file" in capsys.readouterr().err
+
+
+# Files longer than 64k characters, past the first read chunk of numpy's reader
+# and of the drain: lines and a CRLF pair cut by a chunk's edge, and, found
+# only after the first chunk, what sends the reader to the line loop.
+_CHUNK_CHARS = 1 << 16
 ROWS_PAST_ONE_CHUNK = _CHUNK_CHARS // 4 + 7
 LONG_FILES = {
     "header_two_columns": "t,x\n" + "0.25,-1.5\n" * ROWS_PAST_ONE_CHUNK,

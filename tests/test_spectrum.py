@@ -38,6 +38,12 @@ def test_grid_examples():
         frequency_grid(4, 0.0)
 
 
+@pytest.mark.parametrize("dt", [np.inf, np.nan], ids=["inf", "nan"])
+def test_grid_refuses_a_non_finite_dt(dt):
+    with pytest.raises(ValidationError, match="dt must be finite and > 0"):
+        frequency_grid(5, dt)
+
+
 def test_default_grid_size():
     assert default_grid_size(10) == 1025
     assert default_grid_size(1000) == 4001
@@ -155,6 +161,12 @@ def test_psd_rejects_a_non_finite_frequency(bad):
     model = ArModel(a=[1.0, -0.5], p_m=1.0, dt=0.1)
     with pytest.raises(ValidationError, match="finite"):
         psd(model, np.array([0.0, 1.0, bad]))
+
+
+@pytest.mark.parametrize("grid", [[[0.0, 1.0]], 1.0], ids=["2-D", "scalar"])
+def test_psd_refuses_a_grid_that_is_not_a_vector(grid):
+    with pytest.raises(ValidationError, match="frequencies must be a vector"):
+        psd(ArModel(a=[1.0, -0.5], p_m=1.0, dt=0.1), grid)
 
 
 def test_psd_positive_when_reflections_inside_circle():
