@@ -24,7 +24,7 @@ from mesa.estimator import fit, reflection_coefficients
 from mesa.forecast import ForecastSummary, forecast, forecast_summary
 from mesa.selection import select_order
 from mesa.spectrum import frequency_grid, psd
-from mesa.synth import TabulatedPsd, generate_ar, generate_from_psd, random_ar_model
+from mesa.synth import generate_ar, generate_from_psd, random_ar_model
 from mesa.validate import relative_error_freq_avg, run_gaussian_experiment, run_order_recovery
 
 __version__ = "0.1.0"

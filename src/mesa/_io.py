@@ -1,4 +1,4 @@
-"""File I/O for the CLI: CSV/binary readers, atomic writers and the PSD file format.
+"""File I/O for the CLI: CSV/binary/JSON readers, atomic writers and the PSD file format.
 
 This module alone knows what a CSV row is. Every table is written by
 :func:`write_table`: a header line, then rows of cells with 17 significant
@@ -19,8 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from mesa.core import SpectralDensity, TimeSeries, ValidationError
-from mesa.synth import TabulatedPsd
+from mesa.core import ArModel, SpectralDensity, TimeSeries, ValidationError
 
 
 def fmt(x: float) -> str:
@@ -162,8 +161,8 @@ def _interior(freqs: np.ndarray, nyquist: float) -> np.ndarray:
     return (freqs > 0.0) & (freqs < (1.0 - 1e-12) * nyquist)
 
 
-def read_tabulated_psd(path, interpolation: str, dt: float | None) -> TabulatedPsd:
-    """Read a one-sided ``frequency_hz,psd`` table as a two-sided :class:`TabulatedPsd`.
+def read_psd_csv(path, dt: float | None) -> SpectralDensity:
+    """Read a one-sided ``frequency_hz,psd`` table as the two-sided density.
 
     The inverse of :func:`write_psd_csv`'s fold: every value strictly
     inside (0, Nyquist) is halved, so a file ``estimate`` writes reads back
@@ -177,19 +176,28 @@ def read_tabulated_psd(path, interpolation: str, dt: float | None) -> TabulatedP
     freqs, values = data[:, 0], data[:, 1]
     nyquist = freqs[-1] if dt is None else 0.5 / dt
     values = np.where(_interior(freqs, nyquist), 0.5 * values, values)
-    return TabulatedPsd(freqs=freqs, values=values, interpolation=interpolation)
+    return SpectralDensity(freqs=freqs, values=values)
 
 
 def write_psd_csv(path, sd: SpectralDensity, dt: float) -> None:
     """Write a density on [0, Nyquist] as one-sided ``frequency_hz,psd`` CSV.
 
     The two-sided density is folded: every bin strictly inside
-    (0, Nyquist) is doubled, and :func:`read_tabulated_psd` undoes it.
+    (0, Nyquist) is doubled, and :func:`read_psd_csv` undoes it.
     Nyquist comes from ``dt``, not from the grid: an odd-length DFT grid
     ends below it.
     """
     values = np.where(_interior(sd.freqs, 0.5 / dt), 2.0 * sd.values, sd.values)
     write_table(path, ("frequency_hz", "psd"), (sd.freqs, values))
+
+
+def read_model(path) -> ArModel:
+    """Load the AR model JSON that ``estimate`` writes."""
+    try:
+        with open(path, "r") as handle:
+            return ArModel.from_dict(json.load(handle))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"{path}: not an AR model JSON: {exc!r}") from exc
 
 
 def write_json(path, payload) -> None:

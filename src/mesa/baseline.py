@@ -26,32 +26,33 @@ def tukey_window(n: int, alpha: float) -> np.ndarray:
 
 def welch_psd(
     ts: TimeSeries,
-    segment_len: int,
-    overlap_fraction: float,
     window: np.ndarray,
+    overlap_fraction: float,
     detrend: bool = False,
 ) -> SpectralDensity:
     """Welch estimate: averaged |DFT(window * segment)|^2 dt / sum(w^2).
 
-    It is tabulated on the segment's non-negative DFT frequencies, in the
-    package's one density convention (see :mod:`mesa.core`): the power at
-    -f is not folded onto f. The hop is floor(segment_len * (1 -
-    overlap_fraction)); a trailing partial segment is dropped.
-    ``tukey_window(segment_len, 0.0)`` is the rectangular window; segment
-    means are subtracted only when ``detrend`` is set. A window with no
-    energy (``tukey_window(2, alpha)`` for any alpha > 0) is refused.
+    The segment length is the window's. The estimate is tabulated on the
+    segment's non-negative DFT frequencies, in the package's one density
+    convention (see :mod:`mesa.core`): the power at -f is not folded onto
+    f. The hop is floor(len(window) * (1 - overlap_fraction)); a trailing
+    partial segment is dropped. ``tukey_window(n, 0.0)`` is the rectangular
+    window of n samples; segment means are subtracted only when
+    ``detrend`` is set. A window with no energy (``tukey_window(2, alpha)``
+    for any alpha > 0) is refused.
     """
     x = np.asarray(ts.samples, dtype=np.float64)
     n = x.size
+    window = np.asarray(window, dtype=np.float64)
+    if window.ndim != 1:
+        raise ValidationError(f"window must be a 1-D array, got {window.ndim} dimensions")
+    segment_len = window.size
     if segment_len > n:
         raise ValidationError(f"segment_len {segment_len} exceeds series length {n}")
     if segment_len < 2:
         raise ValidationError("segment_len must be >= 2")
     if not 0.0 <= overlap_fraction < 1.0:
         raise ValidationError("overlap_fraction must be in [0, 1)")
-    window = np.asarray(window, dtype=np.float64)
-    if window.size != segment_len:
-        raise ValidationError("window length must equal segment_len")
     energy = float(window @ window)
     if not (np.isfinite(energy) and energy > 0.0):
         raise ValidationError(f"the window's energy sum(w^2) must be finite and > 0, got {energy}")

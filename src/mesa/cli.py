@@ -9,7 +9,6 @@ it.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 
@@ -18,7 +17,6 @@ import numpy as np
 from mesa import _io, baseline, selection, spectrum, synth, validate
 from mesa.forecast import forecast as run_forecast, forecast_summary, quantile_label, summary_levels
 from mesa.core import (
-    ArModel,
     Criterion,
     SpectralDensity,
     SpectralError,
@@ -161,14 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_model(path) -> ArModel:
-    try:
-        with open(path, "r") as handle:
-            return ArModel.from_dict(json.load(handle))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"{path}: not an AR model JSON: {exc!r}") from exc
-
-
 def cmd_estimate(args) -> int:
     ts = _io.read_timeseries(args.infile, dt=args.dt, binary=args.binary)
     grid = None
@@ -192,7 +182,7 @@ def cmd_forecast(args) -> int:
     except ValueError:
         raise ValidationError(f"bad --quantiles value: {args.quantiles!r}")
     levels = summary_levels(levels, args.n_realizations)  # before any input is read
-    model = _load_model(args.model)
+    model = _io.read_model(args.model)
     seed_ts = _io.read_timeseries(args.infile, dt=args.dt, binary=args.binary)
     ens = run_forecast(model, seed_ts, args.horizon, args.n_realizations,
                        args.seed, args.noise_scale)
@@ -208,7 +198,7 @@ def cmd_generate(args) -> int:
     if args.model is not None:
         if args.dt is not None:
             raise ValidationError("--dt does not apply to --model: the model's own dt is used")
-        model = _load_model(args.model)
+        model = _io.read_model(args.model)
         ts = synth.generate_ar(model, args.n, burn_in=args.burn_in, rng_seed=args.seed)
     else:
         if args.burn_in is not None:
@@ -218,8 +208,9 @@ def cmd_generate(args) -> int:
             target = validate.gaussian_bump(mu, sigma)
             dt = args.dt if args.dt is not None else 0.125
         else:
-            target = _io.read_tabulated_psd(args.psd, args.psd_interp or "linear", args.dt)
-            dt = args.dt if args.dt is not None else 1.0 / (2.0 * target.freqs[-1])
+            table = _io.read_psd_csv(args.psd, args.dt)
+            target = synth.tabulated_curve(table, args.psd_interp or "linear")
+            dt = args.dt if args.dt is not None else 1.0 / (2.0 * table.freqs[-1])
         ts = synth.generate_from_psd(target, args.n, dt, args.seed)
     _io.write_timeseries_csv(args.out, ts)
     return 0
@@ -228,7 +219,7 @@ def cmd_generate(args) -> int:
 def cmd_welch(args) -> int:
     ts = _io.read_timeseries(args.infile, dt=args.dt, binary=args.binary)
     window = baseline.tukey_window(args.segment, args.tukey)
-    sd = baseline.welch_psd(ts, args.segment, args.overlap, window, detrend=args.detrend)
+    sd = baseline.welch_psd(ts, window, args.overlap, detrend=args.detrend)
     _io.write_psd_csv(args.out, sd, ts.dt)
     return 0
 
@@ -241,7 +232,7 @@ def cmd_compare(args) -> int:
     if n < 2 or n % 2:
         raise ValidationError(f"duration*fs must be an even sample count, got {n}")
     dt = 1.0 / args.fs
-    target = _io.read_tabulated_psd(args.psd, args.psd_interp, dt)
+    target = synth.tabulated_curve(_io.read_psd_csv(args.psd, dt), args.psd_interp)
     ts = synth.generate_from_psd(target, n, dt, args.seed)
 
     trace = fit(ts, criterion=args.criterion, patience=args.patience)
@@ -249,7 +240,7 @@ def cmd_compare(args) -> int:
     model = trace.model(sel.chosen_order)
 
     window = baseline.tukey_window(args.segment, args.tukey)
-    welch_sd = baseline.welch_psd(ts, args.segment, args.overlap, window)
+    welch_sd = baseline.welch_psd(ts, window, args.overlap)
     grid = welch_sd.freqs
     mesa_sd = spectrum.psd(model, grid)
     truth = SpectralDensity(freqs=grid, values=target(grid))

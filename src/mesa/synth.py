@@ -3,7 +3,6 @@ and random AR models for order-recovery studies."""
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -11,10 +10,9 @@ from mesa._rng import make_rng
 from mesa.core import (
     ArModel,
     GenerationError,
+    SpectralDensity,
     TimeSeries,
     ValidationError,
-    _finite,
-    _readonly,
     _require,
 )
 from mesa.estimator import reflection_coefficients
@@ -28,48 +26,41 @@ class Interpolation(enum.Enum):
     LOGLOG = "loglog"
 
 
-@dataclass(frozen=True, eq=False)
-class TabulatedPsd:
-    """Two-sided spectral density tabulated at |f| on [0, Nyquist].
+def tabulated_curve(table: SpectralDensity, interpolation="linear"):
+    """The density ``table`` holds, as a curve of |f| usable as a target.
 
-    Evaluation interpolates linearly (or log-log for strictly positive
-    curves) and clamps outside the tabulated range.
+    It interpolates linearly, or log-log for a table of strictly positive
+    frequencies and values, and clamps outside the tabulated range.
     """
+    interpolation = Interpolation(interpolation)
+    freqs, values = table.freqs, table.values
+    _require(freqs.size >= 2, "need at least two tabulation points")
+    _require(freqs[0] >= 0, "tabulation must start at or near 0")
+    if interpolation is Interpolation.LINEAR:
+        return lambda f: np.interp(np.abs(np.asarray(f, dtype=np.float64)), freqs, values)
+    _require(freqs[0] > 0, "log-log interpolation needs frequencies > 0, but the table starts "
+                           "at 0 Hz; linear interpolation (--psd-interp linear) reads it")
+    if not (values > 0).all():
+        raise ValidationError(f"log-log interpolation needs PSD values > 0, but the table "
+                              f"holds 0 at {float(freqs[np.argmin(values)]):g} Hz")
+    log_f, log_v = np.log(freqs), np.log(values)
 
-    freqs: np.ndarray
-    values: np.ndarray
-    interpolation: Interpolation = Interpolation.LINEAR
-
-    def __post_init__(self):
-        object.__setattr__(self, "freqs", _readonly(self.freqs))
-        object.__setattr__(self, "values", _readonly(self.values))
-        object.__setattr__(self, "interpolation", Interpolation(self.interpolation))
-        freqs, values = self.freqs, self.values
-        _require(freqs.ndim == 1 and freqs.size >= 2, "need at least two tabulation points")
-        _require(values.shape == freqs.shape, "freqs and values must have equal length")
-        _require(bool((np.diff(freqs) > 0).all()), "frequencies must be strictly increasing")
-        _require(freqs[0] >= 0, "tabulation must start at or near 0")
-        _require(_finite(values) and bool((values >= 0).all()),
-                 "PSD values must be finite and non-negative")
-        if self.interpolation is Interpolation.LOGLOG:
-            _require(bool((values > 0).all()) and freqs[0] > 0,
-                     "log-log interpolation needs strictly positive freqs and values")
-
-    def __call__(self, f: np.ndarray) -> np.ndarray:
+    def curve(f):
         f = np.abs(np.asarray(f, dtype=np.float64))
-        if self.interpolation is Interpolation.LOGLOG:
-            safe = np.maximum(f, self.freqs[0])
-            return np.exp(np.interp(np.log(safe), np.log(self.freqs), np.log(self.values)))
-        return np.interp(f, self.freqs, self.values)
+        return np.exp(np.interp(np.log(np.maximum(f, freqs[0])), log_f, log_v))
+
+    return curve
 
 
 def generate_from_psd(target, n: int, dt: float, rng_seed: int) -> TimeSeries:
     """Draw a real series whose ensemble-mean periodogram is the target density.
 
-    ``target`` is a :class:`TabulatedPsd` or any callable mapping frequency
-    (Hz) to the two-sided PSD. Frequency coefficients are sampled complex
-    Gaussian with variance proportional to the target, Hermitian symmetry
-    is imposed (real DC and Nyquist bins) and the result inverse-transformed.
+    ``target`` is any callable mapping frequency (Hz) to the two-sided PSD:
+    :func:`tabulated_curve` of a table ``mesa._io.read_psd_csv`` read, or
+    an analytic curve such as ``mesa.validate.gaussian_bump``. Frequency
+    coefficients are sampled complex Gaussian with variance proportional to
+    the target, Hermitian symmetry is imposed (real DC and Nyquist bins) and
+    the result inverse-transformed.
     """
     if n < 2 or n % 2:
         raise ValidationError(f"n must be even and >= 2, got {n}")

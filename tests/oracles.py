@@ -1,12 +1,13 @@
-"""The Yule-Walker route, the PSD -> autocorrelation integrator and the
-stacked ensemble error.
+"""The Yule-Walker route, the PSD -> autocorrelation integrator, the
+stacked ensemble error and a detector-like noise curve.
 
 ``mesa`` estimates by Burg's recursion alone. The literal Levinson-Durbin
 solve of the Yule-Walker (Toeplitz normal) equations on an autocorrelation
 sequence, and the quadrature that recovers an autocorrelation from a
 density, serve the tests as cross-check oracles for that route. The
 per-frequency relative error of a list of estimates is the reference for
-the Gaussian harness's running sums.
+the Gaussian harness's running sums. The aLIGO design curve is the
+detector-like density the paper compares Burg's method with Welch's on.
 """
 import numpy as np
 
@@ -152,3 +153,15 @@ def relative_error_ensemble(estimates, truth: SpectralDensity) -> SpectralDensit
             raise ValidationError("all estimates must share the truth's frequency grid")
         acc += np.abs(est.values - truth.values) / truth.values
     return SpectralDensity(freqs=truth.freqs, values=acc / len(estimates))
+
+
+def aligo_psd(f, floor: float) -> np.ndarray:
+    """The aLIGO zero-detuned high-power fit, held constant below ``floor`` Hz.
+
+    S = x^-4.14 - 5 x^-2 + 111 (1 - x^2 + x^4/2) / (1 + x^2/2), with
+    x = |f| / 215 Hz, in units of the fit's scale (about 1e-49 /Hz). From a
+    0.1 Hz floor to 2048 Hz it spans about 12 decades.
+    """
+    x = np.maximum(np.abs(np.asarray(f, dtype=np.float64)), floor) / 215.0
+    x2 = x * x
+    return x ** -4.14 - 5.0 / x2 + 111.0 * (1.0 - x2 + 0.5 * x2 * x2) / (1.0 + 0.5 * x2)

@@ -20,7 +20,6 @@ PUBLIC_NAMES = [
     "RecursionTrace",
     "SpectralDensity",
     "SpectralError",
-    "TabulatedPsd",
     "TimeSeries",
     "UndefinedLossError",
     "ValidationError",
@@ -58,7 +57,6 @@ PUBLIC_SIGNATURES = {
     "OrderSelection": "criterion, losses, early_stopped=",
     "RecursionTrace": "p, c, dt, n_samples, selection=",
     "SpectralDensity": "freqs, values",
-    "TabulatedPsd": "freqs, values, interpolation=",
     "TimeSeries": "samples, dt",
     "fit": "ts, max_order=, *, criterion=, patience=",
     "forecast": "model, seed, horizon, n_realizations, rng_seed, noise_scale=",
@@ -74,7 +72,7 @@ PUBLIC_SIGNATURES = {
     "run_order_recovery": "n_models, p_min, p_max, n_samples, rng_seed",
     "select_order": "trace, criterion",
     "tukey_window": "n, alpha",
-    "welch_psd": "ts, segment_len, overlap_fraction, window, detrend=",
+    "welch_psd": "ts, window, overlap_fraction, detrend=",
 }
 
 

@@ -55,7 +55,7 @@ def test_welch_white_noise_level():
     dt = 1.0 / 256.0
     x = np.random.default_rng(0).standard_normal(2**17)
     ts = TimeSeries(x, dt=dt)
-    sd = welch_psd(ts, 1024, 0.5, tukey_window(1024, 0.4))
+    sd = welch_psd(ts, tukey_window(1024, 0.4), 0.5)
     interior = sd.values[1:-1]
     assert np.mean(interior) == pytest.approx(dt, rel=0.03)
 
@@ -65,7 +65,7 @@ def test_welch_parseval():
     dt = 0.01
     x = np.random.default_rng(1).standard_normal(2**15)
     ts = TimeSeries(x, dt=dt)
-    sd = welch_psd(ts, 512, 0.5, tukey_window(512, 0.4))
+    sd = welch_psd(ts, tukey_window(512, 0.4), 0.5)
     total = 2.0 * np.trapezoid(sd.values, sd.freqs)
     assert total == pytest.approx(np.var(x), rel=0.05)
 
@@ -74,14 +74,14 @@ def test_welch_sine_peak_location():
     fs = 1024.0
     t = np.arange(2**14) / fs
     ts = TimeSeries(np.sin(2 * np.pi * 50.0 * t), dt=1.0 / fs)
-    sd = welch_psd(ts, 256, 0.5, tukey_window(256, 0.4))
+    sd = welch_psd(ts, tukey_window(256, 0.4), 0.5)
     peak = sd.freqs[np.argmax(sd.values)]
     assert abs(peak - 50.0) <= fs / 256
 
 
 def test_welch_zero_signal():
     ts = TimeSeries(np.zeros(4096), dt=1.0)
-    sd = welch_psd(ts, 256, 0.5, tukey_window(256, 0.4))
+    sd = welch_psd(ts, tukey_window(256, 0.4), 0.5)
     np.testing.assert_array_equal(sd.values, 0.0)
 
 
@@ -89,8 +89,8 @@ def test_welch_window_scaling_invariance():
     x = np.random.default_rng(2).standard_normal(8192)
     ts = TimeSeries(x, dt=0.5)
     w = tukey_window(512, 0.4)
-    a = welch_psd(ts, 512, 0.5, w)
-    b = welch_psd(ts, 512, 0.5, 3.7 * w)
+    a = welch_psd(ts, w, 0.5)
+    b = welch_psd(ts, 3.7 * w, 0.5)
     np.testing.assert_allclose(a.values, b.values, rtol=1e-12)
 
 
@@ -98,7 +98,7 @@ def test_welch_single_rect_segment_is_periodogram():
     x = np.random.default_rng(3).standard_normal(1024)
     dt = 0.125
     ts = TimeSeries(x, dt=dt)
-    sd = welch_psd(ts, 1024, 0.0, np.ones(1024))
+    sd = welch_psd(ts, np.ones(1024), 0.0)
     spec = np.fft.rfft(x)
     raw = np.abs(spec) ** 2 * dt / 1024
     np.testing.assert_allclose(sd.values, raw, rtol=1e-12)
@@ -110,7 +110,7 @@ def assert_matches_scipy(segment):
     dt = 1.0 / 512
     ts = TimeSeries(x, dt=dt)
     w = tukey_window(segment, 0.4)
-    sd = welch_psd(ts, segment, 0.5, w)
+    sd = welch_psd(ts, w, 0.5)
     f_ref, p_ref = scipy_welch(x, fs=1.0 / dt, window=w, nperseg=segment,
                                noverlap=segment - segment // 2, detrend=False,
                                return_onesided=False)
@@ -133,22 +133,22 @@ def test_welch_matches_scipy_on_an_odd_segment():
 def test_welch_rejects_a_window_without_energy(window):
     ts = TimeSeries(np.random.default_rng(6).standard_normal(64), dt=1.0)
     with pytest.raises(ValidationError, match="window's energy"):
-        welch_psd(ts, 2, 0.5, window)
+        welch_psd(ts, window, 0.5)
 
 
 def test_welch_hop_and_errors():
     ts = TimeSeries(np.ones(100), dt=1.0)
     with pytest.raises(ValidationError):
-        welch_psd(ts, 128, 0.5, np.ones(128))  # fewer than one full segment
+        welch_psd(ts, np.ones(128), 0.5)  # fewer than one full segment
     with pytest.raises(ValidationError):
-        welch_psd(ts, 64, 1.0, np.ones(64))  # overlap must stay below 1
-    with pytest.raises(ValidationError):
-        welch_psd(ts, 64, 0.5, np.ones(32))  # window length mismatch
+        welch_psd(ts, np.ones(64), 1.0)  # overlap must stay below 1
+    with pytest.raises(ValidationError, match="window must be a 1-D array"):
+        welch_psd(ts, np.ones((2, 32)), 0.5)  # the segment length is the window's
 
 
 def test_welch_detrend_removes_mean_power():
     x = np.random.default_rng(5).standard_normal(8192) + 100.0
     ts = TimeSeries(x, dt=1.0)
-    plain = welch_psd(ts, 512, 0.5, tukey_window(512, 0.4))
-    detr = welch_psd(ts, 512, 0.5, tukey_window(512, 0.4), detrend=True)
+    plain = welch_psd(ts, tukey_window(512, 0.4), 0.5)
+    detr = welch_psd(ts, tukey_window(512, 0.4), 0.5, detrend=True)
     assert plain.values[0] > 100 * detr.values[0]

@@ -13,13 +13,14 @@ import pytest
 from scipy.signal import welch as scipy_welch
 
 import mesa
-from mesa._io import fmt, read_tabulated_psd, read_timeseries
+from mesa._io import fmt, read_psd_csv, read_timeseries
 from mesa.baseline import tukey_window
 from mesa.cli import build_parser, main
 from mesa.core import ArModel
 from mesa.estimator import fit
 from mesa.selection import max_order
 from mesa.spectrum import psd
+from mesa.synth import tabulated_curve
 from mesa.validate import run_gaussian_experiment
 
 
@@ -309,7 +310,7 @@ def test_welch_last_bin_at_nyquist_is_not_doubled(tmp_path, dt):
     f_ref, p_ref = scipy_one_sided(ts.samples, ts.dt, 100)
     np.testing.assert_array_equal(got[:, 0], f_ref)
     np.testing.assert_allclose(got[:, 1], p_ref, rtol=1e-12)
-    two = mesa.welch_psd(ts, 100, 0.5, tukey_window(100, 0.4)).values
+    two = mesa.welch_psd(ts, tukey_window(100, 0.4), 0.5).values
     np.testing.assert_array_equal(got[1:-1, 1], 2.0 * two[1:-1])
     assert got[-1, 1] == two[-1]
 
@@ -409,7 +410,7 @@ def test_compare_and_welch_fold_an_odd_segment_as_scipy_does(tmp_path):
     assert run(["compare", "--psd", tab, "--duration", "2", "--fs", "128",
                 "--seed", "5", "--segment", "63", "--out-prefix", tmp_path / "cmp"]) == 0
     dt = 1.0 / 128
-    x = mesa.generate_from_psd(read_tabulated_psd(tab, "linear", dt), 256, dt, 5).samples
+    x = mesa.generate_from_psd(tabulated_curve(read_psd_csv(tab, dt)), 256, dt, 5).samples
     f_ref, p_ref = scipy_one_sided(x, dt, 63)
     data = tmp_path / "x.csv"
     data.write_text("\n".join(fmt(v) for v in x) + "\n")
@@ -474,8 +475,21 @@ def test_one_sided_psd_files_round_trip(tmp_path):
     assert abs(np.median(est[:, 1] / np.interp(est[:, 0], f, t)) - 1.0) < 0.05
     # estimate's one-sided file reads back as the model's density, bit for bit
     model = ArModel.from_dict(json.loads((tmp_path / "out_model.json").read_text()))
-    table = read_tabulated_psd(tmp_path / "out_psd.csv", "linear", 1.0 / 128)
+    table = read_psd_csv(tmp_path / "out_psd.csv", 1.0 / 128)
     np.testing.assert_array_equal(table.values, psd(model, table.freqs).values)
+
+
+def test_loglog_refuses_a_table_from_0_hz_and_names_the_linear_reading(tmp_path, capsys):
+    # every PSD file the package writes starts at 0 Hz
+    data = write_noise(tmp_path / "noise.csv")
+    assert run(["estimate", "--in", data, "--dt", "0.01", "--out-prefix", tmp_path / "est"]) == 0
+    argv = ["generate", "--psd", tmp_path / "est_psd.csv", "--n", "64", "--seed", "1"]
+    assert run(argv + ["--psd-interp", "loglog", "--out", tmp_path / "log.csv"]) == 2
+    err = capsys.readouterr().err
+    assert "needs frequencies > 0, but the table starts at 0 Hz" in err
+    assert "--psd-interp linear" in err
+    assert not (tmp_path / "log.csv").exists()
+    assert run(argv + ["--psd-interp", "linear", "--out", tmp_path / "lin.csv"]) == 0
 
 
 def test_experiment_order_recovery_command(tmp_path):

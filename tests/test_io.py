@@ -14,7 +14,7 @@ from mesa._io import (
     _read_numeric_rows,
     atomic_write_text,
     fmt,
-    read_tabulated_psd,
+    read_psd_csv,
     read_timeseries,
     write_psd_csv,
     write_table,
@@ -68,7 +68,7 @@ def test_tabulated_psd_needs_two_columns(tmp_path):
     path = tmp_path / "psd.csv"
     path.write_text("frequency_hz,psd,extra\n0,1,2\n1,1,2\n")
     with pytest.raises(ValidationError, match="tabulated PSD needs two columns"):
-        read_tabulated_psd(path, "linear", None)
+        read_psd_csv(path, None)
 
 
 @pytest.mark.parametrize("n", [100, 101], ids=["even", "odd"])
@@ -82,13 +82,15 @@ def test_tabulated_psd_halves_what_the_psd_writer_doubles(tmp_path, n):
     write_psd_csv(path, sd, dt)
     written = np.loadtxt(path, delimiter=",", skiprows=1)[:, 1]
     assert (written[-1] == sd.values[-1]) == (n % 2 == 0)
-    np.testing.assert_array_equal(read_tabulated_psd(path, "linear", dt).values, sd.values)
+    table = read_psd_csv(path, dt)
+    np.testing.assert_array_equal(table.freqs, sd.freqs)
+    np.testing.assert_array_equal(table.values, sd.values)
 
 
 def test_tabulated_psd_without_dt_ends_at_its_nyquist(tmp_path):
     path = tmp_path / "psd.csv"
     path.write_text("frequency_hz,psd\n0,4\n1,4\n2,4\n")
-    np.testing.assert_array_equal(read_tabulated_psd(path, "linear", None).values, [4.0, 2.0, 4.0])
+    np.testing.assert_array_equal(read_psd_csv(path, None).values, [4.0, 2.0, 4.0])
 
 
 @pytest.mark.parametrize("text", [

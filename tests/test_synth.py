@@ -2,9 +2,11 @@
 import numpy as np
 import pytest
 
-from mesa.core import GenerationError, ArModel, ValidationError
+from mesa._io import read_psd_csv
+from mesa.core import GenerationError, ArModel, SpectralDensity, ValidationError
 from mesa.estimator import reflection_coefficients
-from mesa.synth import TabulatedPsd, generate_ar, generate_from_psd, random_ar_model
+from mesa.synth import generate_ar, generate_from_psd, random_ar_model, tabulated_curve
+from oracles import aligo_psd
 
 
 def periodogram(samples, dt):
@@ -80,27 +82,51 @@ def test_generate_from_psd_deterministic():
 
 
 def test_tabulated_psd_interpolation():
-    tab = TabulatedPsd(freqs=[0.0, 1.0, 2.0], values=[0.0, 2.0, 4.0])
+    tab = tabulated_curve(SpectralDensity(freqs=[0.0, 1.0, 2.0], values=[0.0, 2.0, 4.0]))
     np.testing.assert_allclose(tab(np.array([0.5, 1.5, 3.0])), [1.0, 3.0, 4.0])
     # negative frequencies evaluate at |f|
     np.testing.assert_allclose(tab(np.array([-1.0])), [2.0])
-    log = TabulatedPsd(freqs=[1.0, 10.0, 100.0], values=[1.0, 10.0, 100.0],
-                       interpolation="loglog")
+    log = tabulated_curve(SpectralDensity(freqs=[1.0, 10.0, 100.0], values=[1.0, 10.0, 100.0]),
+                          "loglog")
     assert log(np.array([31.622776601683793]))[0] == pytest.approx(31.6227766, rel=1e-6)
     with pytest.raises(ValidationError):
-        TabulatedPsd(freqs=[0.0, 1.0], values=[1.0, 1.0], interpolation="loglog")
+        tabulated_curve(SpectralDensity(freqs=[0.0, 1.0], values=[1.0, 1.0]), "loglog")
+
+
+@pytest.mark.parametrize("freqs, values, interpolation, message", [
+    ([1.0], [1.0], "linear", "need at least two tabulation points"),
+    ([-1.0, 1.0], [1.0, 1.0], "linear", "tabulation must start at or near 0"),
+    ([0.0, 1.0], [1.0, 1.0], "loglog", "table starts at 0 Hz; linear interpolation"),
+    ([1.0, 2.0, 3.0], [1.0, 0.0, 1.0], "loglog", "PSD values > 0, but the table holds 0 at 2 Hz"),
+])
+def test_tabulated_curve_names_what_it_refuses(freqs, values, interpolation, message):
+    with pytest.raises(ValidationError, match=message):
+        tabulated_curve(SpectralDensity(freqs=freqs, values=values), interpolation)
+
+
+def test_loglog_curve_is_the_log_interpolation_bit_for_bit():
+    # a detector-like table spanning more than 10 decades
+    freqs = np.geomspace(0.1, 2048.0, 300)
+    values = aligo_psd(freqs, 0.1)
+    assert values.max() / values.min() > 1e10
+    curve = tabulated_curve(SpectralDensity(freqs=freqs, values=values), "loglog")
+    f = np.concatenate([[0.0, 0.05], np.linspace(-3000.0, 3000.0, 4001)])
+    want = np.exp(np.interp(np.log(np.maximum(np.abs(f), freqs[0])), np.log(freqs), np.log(values)))
+    np.testing.assert_array_equal(curve(f), want)
 
 
 def test_tabulated_psd_keeps_its_own_copy():
     freqs, values = np.array([0.0, 1.0, 2.0]), np.array([1.0, 2.0, 3.0])
-    tab = TabulatedPsd(freqs=freqs, values=values)
+    tab = tabulated_curve(SpectralDensity(freqs=freqs, values=values))
     freqs[:] = [0.0, 5.0, 10.0]
     values[:] = -5.0
     np.testing.assert_array_equal(tab(np.array([0.5, 1.5])), [1.5, 2.5])
 
 
-def test_tabulated_psd_is_read_only():
-    tab = TabulatedPsd(freqs=[0.0, 1.0, 2.0], values=[1.0, 2.0, 3.0])
+def test_tabulated_psd_is_read_only(tmp_path):
+    path = tmp_path / "psd.csv"
+    path.write_text("frequency_hz,psd\n0,1\n1,2\n2,3\n")
+    tab = read_psd_csv(path, None)
     with pytest.raises(ValueError):
         tab.freqs[0] = 10.0
     with pytest.raises(ValueError):
