@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -274,8 +275,7 @@ def cmd_experiment_gaussian(args) -> int:
         args.n_realizations, args.n_samples, args.criterion, args.seed,
         mu=args.mu, sigma=args.sigma, dt=args.dt, n_freqs=args.n_freqs,
     )
-    _io.write_jsonl(f"{args.out_prefix}_records.jsonl",
-                    (rec.to_dict() for rec in result.records))
+    _io.write_jsonl(f"{args.out_prefix}_records.jsonl", map(asdict, result.records))
     _io.write_json(
         f"{args.out_prefix}_summary.json",
         {
@@ -298,7 +298,7 @@ def cmd_experiment_order_recovery(args) -> int:
     records = validate.run_order_recovery(
         args.n_models, args.p_min, args.p_max, args.n_samples, args.seed,
     )
-    _io.write_jsonl(f"{args.out_prefix}_records.jsonl", (rec.to_dict() for rec in records))
+    _io.write_jsonl(f"{args.out_prefix}_records.jsonl", map(asdict, records))
     summary = {
         "n_models": args.n_models,
         "n_samples": args.n_samples,

@@ -47,9 +47,6 @@ class RealizationRecord:
     order: int
     error: float
 
-    def to_dict(self) -> dict:
-        return {"index": self.index, "order": self.order, "error": self.error}
-
 
 @dataclass(frozen=True)
 class GaussianExperimentResult:
@@ -120,10 +117,6 @@ class OrderRecoveryRecord:
     index: int
     p_true: int
     p_hat: dict
-
-    def to_dict(self) -> dict:
-        return {"index": self.index, "p_true": self.p_true,
-                "p_hat": {k: v for k, v in self.p_hat.items()}}
 
 
 def run_order_recovery(

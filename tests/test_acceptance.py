@@ -13,6 +13,7 @@ lies, so the order-recovery study scans every order.
 import json
 import math
 import time
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -397,7 +398,7 @@ def test_criterion_09_formula_values():
 
 
 def _gaussian_record_bytes(result) -> bytes:
-    return json.dumps([rec.to_dict() for rec in result.records]).encode()
+    return json.dumps([asdict(rec) for rec in result.records]).encode()
 
 
 def test_criterion_10_determinism(gaussian_results, recovery_records, compare_rows, calibration):
@@ -408,8 +409,8 @@ def test_criterion_10_determinism(gaussian_results, recovery_records, compare_ro
         if _gaussian_record_bytes(again) != _gaussian_record_bytes(gaussian_results[crit]):
             mismatches.append(f"gaussian/{crit}")
     again = run_recovery_study()
-    if json.dumps([r.to_dict() for r in again]) != json.dumps(
-            [r.to_dict() for r in recovery_records]):
+    if json.dumps([asdict(r) for r in again]) != json.dumps(
+            [asdict(r) for r in recovery_records]):
         mismatches.append("order-recovery")
     if json.dumps([run_compare(seed) for seed in COMPARE_SEEDS]) != json.dumps(compare_rows):
         mismatches.append("compare")

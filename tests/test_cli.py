@@ -41,6 +41,19 @@ def write_tabulated(path, ny=50.0):
     return path
 
 
+def test_readme_commands_parse():
+    # the README's command examples must stay valid against the parser
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1]
+    block = re.search(r"```\n(.*?)```", section, re.S).group(1)
+    lines = (shlex.split(line, comments=True) for line in block.replace("\\\n", " ").splitlines())
+    commands = [argv for argv in lines if argv]
+    assert len(commands) == 9
+    for argv in commands:
+        assert argv[0] == "mesa"
+        build_parser().parse_args(argv[1:])
+
+
 def test_cli_import_does_not_load_scipy():
     # scipy.signal takes about a second to import and only AR simulation needs it
     src = str(Path(mesa.__file__).parents[1])

@@ -12,8 +12,11 @@ from mesa.estimator import (
     _steps,
     fit,
 )
+from mesa.selection import max_order
+from mesa.spectrum import psd
 from mesa.synth import generate_ar, generate_from_psd, random_ar_model
 
+from oracles import aligo_psd
 from test_selection import three_peak_curve
 
 
@@ -121,6 +124,11 @@ FAST_TOL = 1e-8
 FAST_MIN_P_RATIO = 1e-12
 
 
+def aligo_noise(n):
+    """LIGO-like noise: the aLIGO curve with a 0.1 Hz floor, 4096 Hz, seed 1."""
+    return generate_from_psd(lambda f: aligo_psd(f, 0.1), n, 1.0 / 4096, rng_seed=1).samples
+
+
 def fast_input(name):
     rng = np.random.default_rng(31)
     sine = np.sin(2.0 * np.pi * 0.0123 * np.arange(FAST_N))
@@ -137,6 +145,8 @@ def fast_input(name):
         return generate_ar(model, FAST_N, rng_seed=32).samples
     if name == "sine-noise-1e-3":
         return sine + 1e-3 * rng.standard_normal(FAST_N)
+    if name == "aligo-0.1hz":
+        return aligo_noise(FAST_N)
     # the offset and the sine leave p_1 / p_0 near 1e-12: the drift guard must fire
     return 1e6 + sine + 1e-6 * rng.standard_normal(FAST_N)
 
@@ -163,7 +173,8 @@ def fast_run(x, max_order):
 
 
 @pytest.mark.parametrize("name", ["white", "three-peak", "random-ar-3", "random-ar-8",
-                                  "ar2-r0.9995", "sine-noise-1e-3", "sine-noise-1e-6-offset"])
+                                  "ar2-r0.9995", "sine-noise-1e-3", "sine-noise-1e-6-offset",
+                                  "aligo-0.1hz"])
 def test_fast_burg_matches_lattice(name):
     x = fast_input(name)
     m = 600
@@ -193,6 +204,26 @@ def test_fast_burg_matches_lattice(name):
         p_tail, c_tail = drain_steps(_steps(f, b, k, m), p[k - 1] if k else p0)
         assert p[k:].tobytes() == p_tail.tobytes()
         assert c[k:].tobytes() == c_tail.tobytes()
+
+
+def test_fast_burg_on_detector_noise_hands_over_at_order_one():
+    # twelve decades of dynamic range: the power falls below the guard's
+    # 1e-6 of p_0 at order 2, so fast Burg computes order 1 alone and the
+    # lattice the rest
+    n = 100_000
+    x = aligo_noise(n)
+    trace = fit(TimeSeries(x, 1.0 / 4096), criterion="fpe")
+    c_fast, a = fast_run(x, max_order(n))
+    assert c_fast.size == 1 and a.size == 2
+    p, c = trace.p, trace.c
+    assert np.all(np.abs(c) <= 1.0) and np.all(np.diff(p) <= 0.0)
+    model = trace.model(trace.selection.chosen_order)
+    values = psd(model).values
+    assert np.isfinite(values).all() and (values > 0.0).all()
+    p_ref, c_ref = plain_lattice(x, c.size)
+    held = p_ref[1:] >= FAST_MIN_P_RATIO * p_ref[0]
+    assert np.max(np.abs(c - c_ref)[held], initial=0.0) <= FAST_TOL
+    assert np.max((np.abs(p[1:] - p_ref[1:]) / p_ref[1:])[held], initial=0.0) <= FAST_TOL
 
 
 def test_fast_burg_hands_over_where_few_samples_remain():

@@ -14,7 +14,14 @@ from mesa.core import (
 )
 from mesa.estimator import fit
 from mesa.spectrum import default_grid_size, frequency_grid, psd
-from oracles import AccuracyError, autocorr_from_psd, fit_from_autocorr, sample_autocorrelation
+from mesa.synth import generate_from_psd
+from oracles import (
+    AccuracyError,
+    aligo_psd,
+    autocorr_from_psd,
+    fit_from_autocorr,
+    sample_autocorrelation,
+)
 
 
 def direct_psd_oracle(model, freqs):
@@ -90,13 +97,13 @@ def test_psd_fast_path_matches_direct_summation():
     model = trace.model(24)
     grid = frequency_grid(257, 0.1)
     fast = psd(model, grid).values
-    # unaligned grid falls back to direct summation
+    # an unaligned grid falls back to Horner's rule
     jitter = grid.copy()
     jitter[1] *= 1.0 + 1e-6
     direct = psd(model, jitter).values
     assert np.max(np.abs(fast[2:] - direct[2:]) / fast[2:]) < 1e-10
     np.testing.assert_allclose(fast, direct_psd_oracle(model, grid), rtol=1e-12)
-    # a symmetric grid over [-Ny, Ny] takes the direct sum
+    # a symmetric grid over [-Ny, Ny] takes Horner's rule
     grid2 = np.linspace(-5.0, 5.0, 513)
     np.testing.assert_allclose(psd(model, grid2).values,
                                direct_psd_oracle(model, grid2), rtol=1e-11)
@@ -114,16 +121,31 @@ def test_psd_fast_path_on_grid_coarser_than_order(n_freqs):
 def test_direct_route_memory_is_bounded_at_high_order():
     rng = np.random.default_rng(4)
     model = ArModel(a=np.r_[1.0, 1e-3 * rng.standard_normal(1024)], p_m=1.0, dt=1.0)
-    freqs = np.linspace(0.0, 0.49, 4096)  # stops short of Nyquist: the direct sum
+    freqs = np.linspace(0.0, 0.49, 4096)  # stops short of Nyquist: Horner's rule
     tracemalloc.start()
     try:
         values = psd(model, freqs).values
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # one block of 4096 frequencies at this order takes 134 MB of complex phases
+    # Horner's rule holds a few complex vectors of the grid, 66 kB each; a
+    # matrix of phases over frequencies and coefficients would take 67 MB
     assert peak < 10e6
     np.testing.assert_allclose(values[::512], direct_psd_oracle(model, freqs[::512]), rtol=1e-12)
+
+
+def test_direct_route_matches_fft_route_at_high_order():
+    # an order-4000 fit of LIGO-like noise, read at 16 points of the canonical
+    # grid that skip f = 0 and so take Horner's rule
+    dt = 1.0 / 4096
+    ts = generate_from_psd(lambda f: aligo_psd(f, 1.0), 40_000, dt, rng_seed=2)
+    model = fit(ts, 4000).model(4000)
+    grid = frequency_grid(16001, dt)
+    full = model.p_m * dt / psd(model, grid).values
+    few = model.p_m * dt / psd(model, grid[1::1000]).values
+    assert few.size == 16
+    tol = 1e-12 * np.sum(np.abs(model.a)) ** 2
+    assert np.all(np.abs(few - full[1::1000]) <= tol)
 
 
 def test_fft_route_memory_is_a_few_results():

@@ -1,5 +1,6 @@
 """Error metrics and experiment harness plumbing."""
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -126,7 +127,7 @@ def test_order_recovery_records():
         # the criteria of the acceptance study, whose CAT reading is cat-invsum
         assert list(rec.p_hat) == ["fpe", "cat-invsum", "obd"]
     again = run_order_recovery(3, 2, 20, 4000, rng_seed=3)
-    assert [r.to_dict() for r in again] == [r.to_dict() for r in records]
+    assert [asdict(r) for r in again] == [asdict(r) for r in records]
 
 
 def test_order_recovery_empty():
