@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from mesa.core import ArModel, SpectralDensity, TimeSeries, ValidationError
+from mesa.core import ArModel, SpectralDensity, TimeSeries, ValidationError, _require
 
 
 def fmt(x: float) -> str:
@@ -170,6 +170,8 @@ def read_psd_csv(path, dt: float | None) -> SpectralDensity:
     sampling interval the table is used at; with ``dt`` None it is the
     table's last frequency.
     """
+    if dt is not None:
+        _require(np.isfinite(dt) and dt > 0, "dt must be finite and > 0")
     data = _read_numeric_rows(path)
     if data.shape[1] != 2:
         raise ValidationError(f"{path}: tabulated PSD needs two columns frequency_hz,psd")

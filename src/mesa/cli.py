@@ -34,13 +34,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _nonneg_float(text: str) -> float:
-    value = float(text)
-    if not 0 <= value < math.inf:
-        raise argparse.ArgumentTypeError(f"expected a finite non-negative number, got {text}")
-    return value
-
-
 def _add_input_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--in", dest="infile", required=True, help="input series (CSV or raw binary)")
     p.add_argument("--dt", type=float, default=None, help="sampling interval in seconds")
@@ -83,7 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=_positive_int, required=True)
     p.add_argument("--n-realizations", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--noise-scale", type=_nonneg_float, default=1.0)
     p.add_argument("--quantiles", default="0.05,0.95",
                    help="comma-separated quantile levels in (0,1)")
     p.add_argument("--out", required=True)
@@ -185,8 +177,7 @@ def cmd_forecast(args) -> int:
     levels = summary_levels(levels, args.n_realizations)  # before any input is read
     model = _io.read_model(args.model)
     seed_ts = _io.read_timeseries(args.infile, dt=args.dt, binary=args.binary)
-    ens = run_forecast(model, seed_ts, args.horizon, args.n_realizations,
-                       args.seed, args.noise_scale)
+    ens = run_forecast(model, seed_ts, args.horizon, args.n_realizations, args.seed)
     summary = forecast_summary(ens, levels)
     _io.write_table(args.out, summary.column_names(),
                     (summary.steps, summary.median, *summary.quantiles))

@@ -1,7 +1,7 @@
 """Conditional forecasting from a fitted AR model.
 
 Future samples follow x_t = sum_i b_i x_{t-i} + eps_t with
-eps_t ~ Normal(0, noise_scale^2 * p_m), conditioned on the tail of the
+eps_t ~ Normal(0, p_m), conditioned on the tail of the
 seed series. Each ensemble member draws from its own counter-based stream
 keyed by (rng_seed, member index), and the rest of its path depends on
 nothing else, so member i is the same array whatever ``n_realizations`` is.
@@ -13,14 +13,13 @@ continuation of the seed tail and h the impulse response of 1/A(z)
 noise is convolved with h by FFT. That convolution rounds differently from
 the step-by-step recursion: on step t its error stays below
 ``rounding_bound(h)`` times that step's spread
-sigma_t = noise_scale sqrt(p_m sum_{k<=t} h_k^2). A model whose bound
+sigma_t = sqrt(p_m sum_{k<=t} h_k^2). A model whose bound
 exceeds ``TOLERANCE`` -- an explosive one, whose h grows without limit, or
 one so close to the unit circle that h stays large over the horizon -- is
 rejected with ``ValidationError``.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,7 +54,6 @@ def forecast(
     horizon: int,
     n_realizations: int,
     rng_seed: int,
-    noise_scale: float = 1.0,
 ) -> ForecastEnsemble:
     """Generate an ensemble of conditional continuations of ``seed``."""
     m = model.order
@@ -67,8 +65,6 @@ def forecast(
         raise ValidationError("horizon must be >= 1")
     if n_realizations < 1:
         raise ValidationError("need at least one realization")
-    if not 0 <= noise_scale < math.inf:
-        raise ValidationError(f"noise_scale must be finite and >= 0, got {noise_scale!r}")
 
     if m:
         z, h = _continuation_and_response(model, seed, horizon)
@@ -78,7 +74,7 @@ def forecast(
                 f"{horizon} steps, so forecast rounding would exceed {TOLERANCE:g} of the "
                 "spread; shorten the horizon or use a stable model"
             )
-    scale = noise_scale * np.sqrt(model.p_m)
+    scale = np.sqrt(model.p_m)
     out = np.empty((n_realizations, horizon))
     for i in range(n_realizations):
         make_rng(rng_seed, i).standard_normal(horizon, out=out[i])

@@ -64,8 +64,7 @@ def generate_from_psd(target, n: int, dt: float, rng_seed: int) -> TimeSeries:
     """
     if n < 2 or n % 2:
         raise ValidationError(f"n must be even and >= 2, got {n}")
-    if not dt > 0:
-        raise ValidationError("dt must be > 0")
+    _require(np.isfinite(dt) and dt > 0, "dt must be finite and > 0")
     freqs = np.fft.rfftfreq(n, dt)
     s = np.asarray(target(freqs), dtype=np.float64)
     if s.shape != freqs.shape:

@@ -59,7 +59,7 @@ PUBLIC_SIGNATURES = {
     "SpectralDensity": "freqs, values",
     "TimeSeries": "samples, dt",
     "fit": "ts, max_order=, *, criterion=, patience=",
-    "forecast": "model, seed, horizon, n_realizations, rng_seed, noise_scale=",
+    "forecast": "model, seed, horizon, n_realizations, rng_seed",
     "forecast_summary": "ens, quantiles=",
     "frequency_grid": "n_freqs, dt",
     "generate_ar": "model, n, burn_in=, *, rng_seed",
@@ -98,8 +98,8 @@ def test_public_signatures_are_pinned():
 CLI_OPTIONS = {
     "estimate": "--in --dt --binary --criterion --max-order --demean --n-freqs --patience "
                 "--out-prefix",
-    "forecast": "--in --dt --binary --model --horizon --n-realizations --seed --noise-scale "
-                "--quantiles --out",
+    "forecast": "--in --dt --binary --model --horizon --n-realizations --seed --quantiles "
+                "--out",
     "generate": "--psd-gaussian --psd --model --psd-interp --n --dt --burn-in --seed --out",
     "welch": "--in --dt --binary --segment --overlap --tukey --detrend --out",
     "compare": "--psd --psd-interp --duration --fs --seed --criterion --segment --overlap "

@@ -595,15 +595,15 @@ def test_estimate_exactly_periodic_series_exit_code(tmp_path, capsys, n):
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
 def test_forecast_refuses_a_non_finite_noise_scale(tmp_path, capsys, value):
+    # the innovations' scale is sqrt(p_m), so a model JSON carries it; json reads NaN and Infinity
     model = tmp_path / "model.json"
-    model.write_text(json.dumps(ArModel(a=[1.0, -0.5], p_m=1.0, dt=1.0).to_dict()))
+    p_m = {"nan": "NaN", "inf": "Infinity", "-1": "-1"}[value]
+    model.write_text(f'{{"a": [1.0, -0.5], "p_m": {p_m}, "dt": 1.0}}')
     data = tmp_path / "seed.csv"
     data.write_text("0.0\n1.0\n")
-    with pytest.raises(SystemExit) as err:
-        run(["forecast", "--model", model, "--in", data, "--dt", "1.0", "--horizon", "3",
-             "--seed", "1", "--noise-scale", value, "--out", tmp_path / "fc.csv"])
-    assert err.value.code == 2
-    assert f"expected a finite non-negative number, got {value}" in capsys.readouterr().err
+    assert run(["forecast", "--model", model, "--in", data, "--dt", "1.0", "--horizon", "3",
+                "--seed", "1", "--out", tmp_path / "fc.csv"]) == 2
+    assert "p_m must be finite and >= 0" in capsys.readouterr().err
     assert not (tmp_path / "fc.csv").exists()
 
 
@@ -618,6 +618,63 @@ def test_gaussian_target_parameters_are_checked(tmp_path, capsys, argv):
     assert run([a.format(tmp=tmp_path) for a in argv] + ["--seed", "1"]) == 2
     assert "finite mu and a finite sigma > 0" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def write_refusal_inputs(tmp):
+    """The inputs of ``test_refusals_exit_2_and_write_nothing``, one file each."""
+    write_noise(tmp / "noise.csv", n=64)
+    write_tabulated(tmp / "target.csv")
+    np.zeros(8).astype("<f8").tofile(tmp / "x.bin")
+    (tmp / "model.json").write_text(json.dumps(ArModel(a=[1.0, -0.5], p_m=1.0, dt=1.0).to_dict()))
+    (tmp / "seed.csv").write_text("0.0\n1.0\n")
+    (tmp / "decreasing.csv").write_text("0.2,1.0\n0.1,2.0\n0.0,3.0\n")
+    (tmp / "uneven.csv").write_text("0.0,1.0\n0.1,2.0\n0.3,3.0\n")
+    (tmp / "uniform.csv").write_text("0.0,1.0\n0.1,2.0\n0.2,3.0\n0.3,4.0\n")
+    (tmp / "taken_psd.csv").mkdir()  # an output path that cannot be renamed over
+
+
+FORECAST = ["forecast", "--model", "{tmp}/model.json", "--in", "{tmp}/seed.csv", "--horizon", "3",
+            "--seed", "1", "--out", "{tmp}/out.csv"]
+ESTIMATE = ["estimate", "--out-prefix", "{tmp}/out"]
+WELCH = ["welch", "--in", "{tmp}/noise.csv", "--dt", "1", "--out", "{tmp}/out.csv"]
+GENERATE = ["generate", "--model", "{tmp}/model.json", "--seed", "1", "--out", "{tmp}/out.csv"]
+TARGET = ["generate", "--n", "64", "--seed", "1", "--out", "{tmp}/out.csv"]
+DT_MESSAGE = "dt must be finite and > 0"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (FORECAST + ["--dt", "1", "--quantiles", "0.1,x"], "bad --quantiles value"),
+    (["compare", "--psd", "{tmp}/target.csv", "--duration", "1", "--fs", "3", "--seed", "1",
+      "--out-prefix", "{tmp}/out"], "duration*fs must be an even sample count, got 3"),
+    (ESTIMATE + ["--in", "{tmp}/x.bin", "--binary"], "binary input requires --dt"),
+    (ESTIMATE + ["--in", "{tmp}/decreasing.csv"], "time column must be increasing"),
+    (ESTIMATE + ["--in", "{tmp}/uneven.csv"], "time column is not uniformly spaced"),
+    (ESTIMATE + ["--in", "{tmp}/uniform.csv", "--dt", "0.2"],
+     "--dt disagrees with the file's time column"),
+    (WELCH + ["--segment", "1"], "segment_len must be >= 2"),
+    (WELCH + ["--segment", "4", "--overlap", "0.9"], "overlap too large: hop would be zero"),
+    (GENERATE + ["--n", "1"], "need n >= 2"),
+    (GENERATE + ["--n", "64", "--burn-in", "-1"], "burn_in must be >= 0"),
+    (FORECAST + ["--dt", "2"], "seed and model sampling intervals disagree"),
+    (TARGET + ["--psd", "{tmp}/target.csv", "--dt", "0"], DT_MESSAGE),
+    (TARGET + ["--psd", "{tmp}/target.csv", "--dt", "-0.5"], DT_MESSAGE),
+    (TARGET + ["--psd", "{tmp}/target.csv", "--dt", "nan"], DT_MESSAGE),
+    (TARGET + ["--psd", "{tmp}/target.csv", "--dt", "inf"], DT_MESSAGE),
+    (TARGET + ["--psd-gaussian", "2.5", "0.5", "--dt", "nan"], DT_MESSAGE),
+    (TARGET + ["--psd-gaussian", "2.5", "0.5", "--dt", "inf"], DT_MESSAGE),
+    # the atomic writer removes its temp file when the rename fails
+    (["estimate", "--in", "{tmp}/noise.csv", "--dt", "1", "--out-prefix", "{tmp}/taken"],
+     "Is a directory"),
+], ids=["quantiles", "odd-count", "binary-dt", "decreasing-time", "uneven-time", "dt-disagrees",
+        "segment", "overlap", "generate-n", "burn-in", "forecast-dt", "psd-dt-zero",
+        "psd-dt-negative", "psd-dt-nan", "psd-dt-inf", "gaussian-dt-nan", "gaussian-dt-inf",
+        "output-is-a-directory"])
+def test_refusals_exit_2_and_write_nothing(tmp_path, capsys, argv, message):
+    write_refusal_inputs(tmp_path)
+    before = sorted(tmp_path.iterdir())
+    assert run([a.format(tmp=tmp_path) for a in argv]) == 2
+    assert message in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def test_readme_command_line_block_parses():

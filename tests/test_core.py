@@ -15,6 +15,10 @@ from mesa.core import (
     TimeSeries,
     ValidationError,
 )
+from mesa.estimator import reflection_coefficients
+from mesa.forecast import forecast
+from mesa.selection import select_order
+from mesa.synth import generate_from_psd
 
 
 def test_timeseries_valid():
@@ -186,6 +190,27 @@ def test_non_finite_values_rejected_anywhere(field, position, bad):
     values.flat[{"first": 0, "middle": values.size // 2, "last": -1}[position]] = bad
     with pytest.raises(ValidationError, match=re.escape(message)):
         build(values)
+
+
+AR1 = ArModel(a=[1.0, -0.5], p_m=1.0, dt=1.0)
+SEED = TimeSeries([0.5, 1.0], dt=1.0)
+
+
+# requests the library refuses but the CLI's parser never passes on
+@pytest.mark.parametrize("call, message", [
+    (lambda: forecast(AR1, SEED, 0, 4, rng_seed=0), "horizon must be >= 1"),
+    (lambda: forecast(AR1, SEED, 3, 0, rng_seed=0), "need at least one realization"),
+    (lambda: RecursionTrace(p=[1.0, 0.5], c=[0.5], dt=1.0, n_samples=100).coefficients(2),
+     "outside trace range"),
+    (lambda: select_order(RecursionTrace(p=[1.0], c=[], dt=1.0, n_samples=100), "fpe"),
+     "trace must hold at least order 1"),
+    (lambda: reflection_coefficients([2.0, 0.1]), "a[0] == 1"),
+    (lambda: generate_from_psd(lambda f: np.ones(3), 64, 1.0, 0), "one value per frequency"),
+], ids=["horizon", "realizations", "trace-order", "empty-trace", "leading-coefficient",
+        "target-length"])
+def test_library_refusals(call, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        call()
 
 
 def test_forecast_ensemble_checks_finiteness_without_a_mask():

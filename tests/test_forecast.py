@@ -1,7 +1,5 @@
 """Conditional forecasting: recursion, determinism, calibration."""
-import importlib
 import json
-import math
 import tracemalloc
 
 import numpy as np
@@ -14,13 +12,13 @@ from mesa.forecast import TOLERANCE, forecast, forecast_summary, rounding_bound
 from mesa.synth import generate_ar, random_ar_model
 
 
-def shift_loop_forecast(model, seed, horizon, n_realizations, rng_seed, noise_scale):
+def shift_loop_forecast(model, seed, horizon, n_realizations, rng_seed):
     """Oracle: a state matrix holding x_{t-1}..x_{t-m}, shifted right after every step."""
     m = model.order
     noise = np.empty((n_realizations, horizon))
     for i in range(n_realizations):
         noise[i] = make_rng(rng_seed, i).standard_normal(horizon)
-    noise *= noise_scale * np.sqrt(model.p_m)
+    noise *= np.sqrt(model.p_m)
     out = np.empty((n_realizations, horizon))
     state = np.tile(seed.samples[len(seed) - m :][::-1], (n_realizations, 1))
     for t in range(horizon):
@@ -33,17 +31,17 @@ def shift_loop_forecast(model, seed, horizon, n_realizations, rng_seed, noise_sc
 
 
 def test_noiseless_ar1_recursion():
-    model = ArModel(a=[1.0, -0.5], p_m=1.0, dt=1.0)
+    model = ArModel(a=[1.0, -0.5], p_m=0.0, dt=1.0)
     seed = TimeSeries([0.0, 1.0], dt=1.0)
-    ens = forecast(model, seed, horizon=3, n_realizations=4, rng_seed=0, noise_scale=0.0)
+    ens = forecast(model, seed, horizon=3, n_realizations=4, rng_seed=0)
     for row in ens.realizations:
         np.testing.assert_allclose(row, [0.5, 0.25, 0.125], atol=1e-15)
 
 
 def test_order_zero_noiseless_is_zero():
-    model = ArModel(a=[1.0], p_m=2.0, dt=1.0)
+    model = ArModel(a=[1.0], p_m=0.0, dt=1.0)
     seed = TimeSeries([3.0, 4.0], dt=1.0)
-    ens = forecast(model, seed, horizon=5, n_realizations=3, rng_seed=1, noise_scale=0.0)
+    ens = forecast(model, seed, horizon=5, n_realizations=3, rng_seed=1)
     np.testing.assert_array_equal(ens.realizations, 0.0)
 
 
@@ -69,15 +67,16 @@ def test_determinism_bit_identical():
 
 @pytest.mark.parametrize("order", [0, 1, 2, 64])
 @pytest.mark.parametrize("horizon", [1, 70])
-@pytest.mark.parametrize("noise_scale", [0.0, 1.0])
-def test_forecast_bitwise_equal_to_shift_loop(order, horizon, noise_scale):
+@pytest.mark.parametrize("p_m_factor", [0.0, 1.0])  # a noiseless model, and the model as given
+def test_forecast_bitwise_equal_to_shift_loop(order, horizon, p_m_factor):
     if order < 2:
-        model = ArModel(a=[1.0, -0.6][: order + 1], p_m=1.7, dt=0.5)
+        model = ArModel(a=[1.0, -0.6][: order + 1], p_m=1.7 * p_m_factor, dt=0.5)
     else:
-        model = ArModel(a=random_ar_model(order, p_min=order, p_max=order).a, p_m=1.0, dt=0.5)
+        a = random_ar_model(order, p_min=order, p_max=order).a
+        model = ArModel(a=a, p_m=p_m_factor, dt=0.5)
     seed = TimeSeries(np.random.default_rng(order).standard_normal(order + 30), dt=0.5)
-    ens = forecast(model, seed, horizon, 9, rng_seed=17, noise_scale=noise_scale)
-    expected = shift_loop_forecast(model, seed, horizon, 9, 17, noise_scale)
+    ens = forecast(model, seed, horizon, 9, rng_seed=17)
+    expected = shift_loop_forecast(model, seed, horizon, 9, 17)
     if order == 0:
         assert ens.realizations.tobytes() == expected.tobytes()
     else:  # superposition rounds differently from the recursion (measured <= 7.1e-16 of max|y|)
@@ -121,7 +120,7 @@ def test_forecast_matches_recursion_on_hard_models(a, horizon):
     model = ArModel(a=a, p_m=1.3, dt=1.0)
     seed = TimeSeries(3 * np.random.default_rng(5).standard_normal(model.order + 40), dt=1.0)
     got = forecast(model, seed, horizon, 8, rng_seed=3).realizations
-    expected = shift_loop_forecast(model, seed, horizon, 8, 3, 1.0)
+    expected = shift_loop_forecast(model, seed, horizon, 8, 3)
     h = impulse_response(model.b, horizon)
     bound = rounding_bound(h)
     assert bound <= TOLERANCE
@@ -144,18 +143,6 @@ def test_forecast_rejects_explosive_models(b, tmp_path):
                  "--horizon", "1000", "--n-realizations", "4", "--seed", "0",
                  "--out", str(tmp_path / "fc.csv")]) == 2
     assert not (tmp_path / "fc.csv").exists()
-
-
-@pytest.mark.parametrize("noise_scale", [-1.0, math.nan, math.inf])
-def test_forecast_refuses_a_noise_scale_before_drawing(monkeypatch, noise_scale):
-    def no_draw(*args):
-        raise AssertionError("noise was drawn before noise_scale was checked")
-
-    # the package exports the function under the module's name
-    monkeypatch.setattr(importlib.import_module("mesa.forecast"), "make_rng", no_draw)
-    model = ArModel(a=[1.0, -0.5], p_m=1.0, dt=1.0)
-    with pytest.raises(ValidationError, match=f"noise_scale must be finite and >= 0, got {noise_scale}"):
-        forecast(model, TimeSeries([0.5, 1.0], dt=1.0), 10, 4, rng_seed=0, noise_scale=noise_scale)
 
 
 def test_members_independent_of_ensemble_size():
