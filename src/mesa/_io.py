@@ -27,16 +27,22 @@ def fmt(x: float) -> str:
 
 
 def atomic_write_text(path, text: str) -> None:
-    """Write via a sibling temp file + rename so readers never see a partial file."""
+    """Write via a sibling temp file + rename so readers never see a partial file.
+
+    An ``OSError`` names ``path``, never the temporary file, which is removed.
+    """
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=f".{path.name}.")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=f".{path.name}.")
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):  # the errno picks the same subclass
+            raise OSError(exc.errno, exc.strerror, str(path)) from exc
         raise
 
 
@@ -59,7 +65,7 @@ def _read_numeric_rows(path) -> np.ndarray:
     """
     name = os.path.join(os.getcwd(), path)  # absolute, so numpy never takes it for a URL
     try:
-        with open(name, "r", encoding="utf-8-sig") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:  # errors name the path as given
             opened = os.fstat(handle.fileno())
             if stat.S_ISREG(opened.st_mode):  # a pipe can be neither reopened nor reread
                 first = handle.readline()
@@ -196,10 +202,19 @@ def write_psd_csv(path, sd: SpectralDensity, dt: float) -> None:
 def read_model(path) -> ArModel:
     """Load the AR model JSON that ``estimate`` writes."""
     try:
-        with open(path, "r") as handle:
-            return ArModel.from_dict(json.load(handle))
+        with open(path, "r", encoding="utf-8") as handle:
+            payload = json.load(handle)
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not a text file ({exc.reason})") from exc
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{path}: not JSON: {exc}") from exc
+    try:
+        return ArModel.from_dict(payload)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
     except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"{path}: not an AR model JSON: {exc!r}") from exc
+        raise ValidationError(
+            f'{path}: not an AR model JSON: needs an object with "a", "p_m" and "dt"') from exc
 
 
 def write_json(path, payload) -> None:

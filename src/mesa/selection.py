@@ -45,14 +45,6 @@ def default_patience(scan_max_order: int, criterion: Criterion | str) -> float:
     return max(100, math.ceil(3 * math.sqrt(scan_max_order)))
 
 
-def _inverse_unbiased_power(pm, n: int, m: int) -> float | None:
-    """1/Pbar_m = (N-m)/(N P_m), or None where it is not finite (P_m zero or subnormal)."""
-    if pm == 0.0:
-        return None
-    inv = (n - m) / (n * float(pm))  # a Python float overflows to inf without a warning
-    return inv if math.isfinite(inv) else None
-
-
 def _loss_sequence(orders, criterion: Criterion, n: int):
     """Yield (order, loss) for (order, p_order, c_{order-1}) from ``orders``.
 
@@ -72,29 +64,21 @@ def _loss_sequence(orders, criterion: Criterion, n: int):
             if m >= n - 1:
                 return
             yield m, pm * (n + m + 1) / (n - m - 1)
-    elif criterion is Criterion.CAT:
-        # running sum keeps the scan O(1) per order
+    elif criterion in (Criterion.CAT, Criterion.CAT_INVSUM):
+        # running sums keep the scan O(1) per order
+        invsum = criterion is Criterion.CAT_INVSUM
         acc = 0.0
         for m, pm, _ in orders:
             if m == 0:
                 yield m, math.nan
                 continue
-            inv = _inverse_unbiased_power(pm, n, m)
-            if inv is None:
+            if pm == 0.0:
                 return
-            acc += inv
-            yield m, acc / n - inv
-    elif criterion is Criterion.CAT_INVSUM:
-        acc = 0.0
-        for m, pm, _ in orders:
-            if m == 0:
-                yield m, math.nan
-                continue
-            inv = _inverse_unbiased_power(pm, n, m)
-            if inv is None:
+            inv = (n - m) / (n * float(pm))  # 1/Pbar_m: a Python float overflows to inf quietly
+            if not math.isfinite(inv):  # P_m is subnormal
                 return
-            acc += n * pm / (n - m)
-            yield m, 1.0 / (n * acc) - inv
+            acc += n * pm / (n - m) if invsum else inv
+            yield m, 1.0 / (n * acc) - inv if invsum else acc / n - inv
     else:  # Criterion.OBD
         # the order-m coefficient vector is raised from order m-1 as orders arrive
         log_acc = 0.0
@@ -104,9 +88,9 @@ def _loss_sequence(orders, criterion: Criterion, n: int):
                 a = _levinson_update(a, cm)
             if pm == 0.0:
                 return
-            sq = float(a[1:] @ a[1:]) if m >= 1 else 0.0
-            yield m, (n - m - 2) * math.log(pm) + m * math.log(n) + log_acc + sq
-            log_acc += math.log(pm)
+            log_pm = math.log(pm)
+            yield m, (n - m - 2) * log_pm + m * math.log(n) + log_acc + float(a[1:] @ a[1:])
+            log_acc += log_pm
 
 
 def scan_orders(orders, criterion: Criterion, n: int, patience: float) -> OrderSelection:

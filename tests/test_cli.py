@@ -42,16 +42,17 @@ def write_tabulated(path, ny=50.0):
 
 
 def test_readme_commands_parse():
-    # the README's command examples must stay valid against the parser
+    # every command the README shows must still be accepted by the parser
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     section = readme.split("## Command line", 1)[1]
     block = re.search(r"```\n(.*?)```", section, re.S).group(1)
     lines = (shlex.split(line, comments=True) for line in block.replace("\\\n", " ").splitlines())
     commands = [argv for argv in lines if argv]
     assert len(commands) == 9
+    parser = build_parser()
     for argv in commands:
         assert argv[0] == "mesa"
-        build_parser().parse_args(argv[1:])
+        assert callable(parser.parse_args(argv[1:]).func), argv
 
 
 def test_cli_import_does_not_load_scipy():
@@ -607,6 +608,59 @@ def test_forecast_refuses_a_non_finite_noise_scale(tmp_path, capsys, value):
     assert not (tmp_path / "fc.csv").exists()
 
 
+_NOT_A_MODEL = 'not an AR model JSON: needs an object with "a", "p_m" and "dt"'
+
+
+@pytest.mark.parametrize("content, message", [
+    (b'{"a": [1.0, -0.5], "p_m": 1.0}', _NOT_A_MODEL),
+    (b"[[1.0, -0.5], 1.0, 1.0]", _NOT_A_MODEL),
+    (b'{"a": [1.0, -0.5]} {"p_m": 1.0}', "not JSON: Extra data: line 1 column 20 (char 19)"),
+    (b'{"a": [1.0, -0.5], "p_m": NaN, "dt": 1.0}', "p_m must be finite and >= 0"),
+    (b'{"a": [2.0], "p_m": 1.0, "dt": 1.0}', "a[0] must equal 1 exactly"),
+    (b"\x89PNG\r\n\x1a\n\x00\xff", "not a text file (invalid start byte)"),
+], ids=["missing-key", "list", "not-json", "nan-p_m", "a0-not-one", "binary"])
+def test_forecast_says_what_is_wrong_with_a_model_file(tmp_path, capsys, content, message):
+    model = tmp_path / "model.json"
+    model.write_bytes(content)
+    data = tmp_path / "seed.csv"
+    data.write_text("0.0\n1.0\n")
+    assert run(["forecast", "--model", model, "--in", data, "--dt", "1.0", "--horizon", "3",
+                "--seed", "1", "--out", tmp_path / "fc.csv"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"mesa: {model}: {message}\n"
+    assert "Error(" not in err and "b'" not in err
+    assert not (tmp_path / "fc.csv").exists()
+
+
+@pytest.mark.parametrize("argv, target", [
+    (["estimate", "--in", "{tmp}/noise.csv", "--dt", "0.01", "--out-prefix", "{tmp}/missing/z"],
+     "{tmp}/missing/z_psd.csv"),
+    (["welch", "--in", "{tmp}/noise.csv", "--dt", "0.01", "--segment", "64", "--out", "{tmp}/e"],
+     "{tmp}/e"),
+], ids=["missing-directory", "output-is-a-directory"])
+def test_a_failed_write_names_its_target_not_a_temporary_file(tmp_path, capsys, argv, target):
+    write_noise(tmp_path / "noise.csv", n=256)
+    (tmp_path / "e").mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    errs = []
+    for _ in range(2):
+        assert run([a.format(tmp=tmp_path) for a in argv]) == 2
+        errs.append(capsys.readouterr().err)
+    assert errs[0].endswith(f": {target.format(tmp=tmp_path)!r}\n")
+    assert errs[0] == errs[1]
+    assert sorted(tmp_path.rglob("*")) == before  # no temporary file left behind
+
+
+@pytest.mark.parametrize("name", ["nonexist.csv", "adir"], ids=["missing-file", "directory"])
+def test_a_failed_read_names_the_path_as_given(tmp_path, monkeypatch, capsys, name):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "adir").mkdir()
+    assert run(["estimate", "--in", name, "--dt", "1", "--out-prefix", "z"]) == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f": {name!r}\n")
+    assert str(tmp_path) not in err
+
+
 @pytest.mark.parametrize("argv", [
     ["generate", "--psd-gaussian", "2.5", "-0.5", "--n", "64", "--out", "{tmp}/g.csv"],
     ["generate", "--psd-gaussian", "2.5", "0", "--n", "64", "--out", "{tmp}/g.csv"],
@@ -675,16 +729,3 @@ def test_refusals_exit_2_and_write_nothing(tmp_path, capsys, argv, message):
     assert run([a.format(tmp=tmp_path) for a in argv]) == 2
     assert message in capsys.readouterr().err
     assert sorted(tmp_path.iterdir()) == before
-
-
-def test_readme_command_line_block_parses():
-    # every command the README shows must still be accepted by the parser
-    readme = (Path(__file__).parents[1] / "README.md").read_text()
-    section = readme.split("## Command line", 1)[1]
-    block = re.search(r"```\n(.*?)```", section, re.S).group(1).replace("\\\n", " ")
-    commands = [line for line in block.splitlines() if line.startswith("mesa ")]
-    assert len(commands) == 9
-    parser = build_parser()
-    for line in commands:
-        args = parser.parse_args(shlex.split(line)[1:])
-        assert callable(args.func), line
