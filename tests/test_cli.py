@@ -1,4 +1,5 @@
 """End-to-end CLI: artifacts, exit codes, determinism."""
+import argparse
 import json
 import math
 import os
@@ -41,18 +42,44 @@ def write_tabulated(path, ny=50.0):
     return path
 
 
-def test_readme_commands_parse():
-    # every command the README shows must still be accepted by the parser
+def readme_commands():
+    # the argv of each command in the README's "Command line" block
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     section = readme.split("## Command line", 1)[1]
     block = re.search(r"```\n(.*?)```", section, re.S).group(1)
     lines = (shlex.split(line, comments=True) for line in block.replace("\\\n", " ").splitlines())
-    commands = [argv for argv in lines if argv]
+    return [argv for argv in lines if argv]
+
+
+def subcommands(parser, prefix=()):
+    # every leaf command path of the parser, e.g. ("experiment", "gaussian")
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from subcommands(sub, prefix + (name,))
+            return
+    yield prefix
+
+
+def test_readme_commands_parse():
+    # every command the README shows must still be accepted by the parser
+    commands = readme_commands()
     assert len(commands) == 9
     parser = build_parser()
     for argv in commands:
         assert argv[0] == "mesa"
         assert callable(parser.parse_args(argv[1:]).func), argv
+
+
+def test_readme_command_line_block_parses():
+    # the block shows every subcommand the parser has, and nothing else
+    parser = build_parser()
+    shown = set()
+    for argv in readme_commands():
+        args = parser.parse_args(argv[1:])
+        shown.add((args.command,) + ((args.experiment,) if args.command == "experiment" else ()))
+    assert shown == set(subcommands(parser))
+    assert len(shown) == 7
 
 
 def test_cli_import_does_not_load_scipy():
