@@ -1,9 +1,12 @@
 """File I/O for the CLI: CSV/binary/JSON readers, atomic writers and the PSD file format.
 
-This module alone knows what a CSV row is. Every table is written by
-:func:`write_table`: a header line, then rows of cells with 17 significant
-digits, so values round-trip exactly, joined by commas. Every table is
-read by ``np.loadtxt``, or by a line loop that gives the same values.
+This module alone knows what a CSV row is. Every value is written with
+17 significant digits, so it round-trips exactly. :func:`write_table`
+writes the tables with a header (the PSD files, and the CLI's forecast
+and error-curve tables): a header line, then rows of cells joined by
+commas. :func:`write_timeseries_csv` writes a series as one headerless
+column. Every table is read by ``np.loadtxt``, or by a line loop that
+gives the same values.
 
 Every PSD file is one-sided and every density in memory two-sided; the
 fold between them, doubled on write and halved on read, lives here alone.

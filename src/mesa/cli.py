@@ -208,9 +208,23 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def cmd_welch(args) -> int:
-    ts = _io.read_timeseries(args.infile, dt=args.dt, binary=args.binary)
+def _welch_window(args) -> np.ndarray:
+    """The Tukey window of ``--segment`` and ``--tukey``, with ``--overlap`` checked, by flag."""
+    if not 0.0 <= args.tukey <= 1.0:
+        raise ValidationError(f"--tukey must be in [0, 1], got {args.tukey}")
+    if not 0.0 <= args.overlap < 1.0:
+        raise ValidationError(f"--overlap must be in [0, 1), got {args.overlap}")
     window = baseline.tukey_window(args.segment, args.tukey)
+    if not window.any():  # --segment 2 with any taper
+        raise ValidationError(
+            f"--segment {args.segment} with --tukey {args.tukey} gives a window of zeros "
+            "(the window's energy is 0): use --segment 3 or more, or --tukey 0")
+    return window
+
+
+def cmd_welch(args) -> int:
+    window = _welch_window(args)
+    ts = _io.read_timeseries(args.infile, dt=args.dt, binary=args.binary)
     sd = baseline.welch_psd(ts, window, args.overlap, detrend=args.detrend)
     _io.write_psd_csv(args.out, sd, ts.dt)
     return 0
@@ -220,9 +234,13 @@ def cmd_compare(args) -> int:
     samples = args.duration * args.fs
     if not math.isfinite(samples):
         raise ValidationError(f"--duration * --fs must be finite, got {args.duration} * {args.fs}")
+    for flag, value in (("--duration", args.duration), ("--fs", args.fs)):
+        if value <= 0.0:
+            raise ValidationError(f"{flag} must be > 0, got {value}")
     n = int(round(samples))
     if n < 2 or n % 2:
-        raise ValidationError(f"duration*fs must be an even sample count, got {n}")
+        raise ValidationError(f"duration*fs must be a positive even sample count, got {n}")
+    window = _welch_window(args)
     dt = 1.0 / args.fs
     target = synth.tabulated_curve(_io.read_psd_csv(args.psd, dt), args.psd_interp)
     ts = synth.generate_from_psd(target, n, dt, args.seed)
@@ -231,7 +249,6 @@ def cmd_compare(args) -> int:
     sel = selection.select_order(trace, args.criterion)
     model = trace.model(sel.chosen_order)
 
-    window = baseline.tukey_window(args.segment, args.tukey)
     welch_sd = baseline.welch_psd(ts, window, args.overlap)
     grid = welch_sd.freqs
     mesa_sd = spectrum.psd(model, grid)

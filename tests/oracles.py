@@ -1,31 +1,88 @@
-"""The Yule-Walker route, the PSD -> autocorrelation integrator, the
-stacked ensemble error and a detector-like noise curve.
+"""The test references, each defined once here.
 
-``mesa`` estimates by Burg's recursion alone. The literal Levinson-Durbin
-solve of the Yule-Walker (Toeplitz normal) equations on an autocorrelation
-sequence, and the quadrature that recovers an autocorrelation from a
-density, serve the tests as cross-check oracles for that route. The
-per-frequency relative error of a list of estimates is the reference for
-the Gaussian harness's running sums. The aLIGO design curve is the
-detector-like density the paper compares Burg's method with Welch's on.
+- Burg's recursion: ``plain_lattice``, the textbook lattice that allocates
+  fresh error arrays at every order; ``drain``, which runs it or any
+  stepper of ``mesa.estimator`` to its end; and ``FAST_TOL`` and
+  ``FAST_MIN_P_RATIO``, within which fast Burg must match the lattice.
+- The Yule-Walker route: the literal Levinson-Durbin recursion on an
+  autocorrelation sequence, the dense solve of the same (Toeplitz normal)
+  equations, and the quadrature that recovers an autocorrelation from a
+  density.
+- Order selection: the closed forms of the FPE, CAT, CAT (inverse sum) and
+  OBD losses at one order, which ``mesa.selection`` computes only inside
+  its scan, the sums as running sums; and ``scan``, which drives that scan
+  over a given trace.
+- The per-frequency relative error of a list of estimates, the reference
+  for the Gaussian harness's running sums.
+- Densities: the three-peak curve the comparison with Welch is drawn from,
+  and the aLIGO design curve, the detector-like density the paper
+  compares Burg's method with Welch's on.
 """
+import math
+
 import numpy as np
 
 from mesa.core import (
+    Criterion,
     DegenerateModelError,
     RecursionTrace,
     SpectralDensity,
     SpectralError,
     TimeSeries,
+    UndefinedLossError,
     ValidationError,
     _levinson_update,
 )
 from mesa.estimator import _autocovariance
+from mesa.selection import scan_orders
 
 
 class AccuracyError(SpectralError):
     """A numerical result cannot be trusted at the requested accuracy."""
 
+
+# --- Burg's recursion --------------------------------------------------------
+
+# fast Burg matches the lattice to this, in c and in relative p, at every
+# order whose lattice power is at least FAST_MIN_P_RATIO * p0
+FAST_TOL = 1e-8
+FAST_MIN_P_RATIO = 1e-12
+
+
+def plain_lattice(x, max_order):
+    """The textbook Burg lattice on ``x``, allocating fresh error arrays at every order.
+
+    Yields c_k for k = 0..max_order-1 and raises ``DegenerateModelError``
+    at an order whose errors vanish, as the lattice stepper of
+    ``mesa.estimator`` does.
+    """
+    f = b = np.asarray(x, dtype=np.float64)
+    for k in range(max_order):
+        fa, ba = f[1:], b[:-1]
+        den = fa @ fa + ba @ ba
+        if den == 0.0:
+            raise DegenerateModelError(f"prediction errors vanished at order {k}")
+        ck = float(np.clip(-2.0 * (fa @ ba) / den, -1.0, 1.0))
+        yield ck
+        f, b = fa + ck * ba, ba + ck * fa
+
+
+def drain(steps, p0):
+    """The powers p_1.. and reflections of a stepper before it ends or finds a degenerate order.
+
+    The powers are chained from ``p0`` as ``fit`` chains them.
+    """
+    p, c = [p0], []
+    try:
+        for ck in steps:
+            p.append(p[-1] * (1.0 - ck * ck))
+            c.append(ck)
+    except DegenerateModelError:
+        pass
+    return np.array(p[1:]), np.array(c)
+
+
+# --- the Yule-Walker route ---------------------------------------------------
 
 def sample_autocorrelation(ts: TimeSeries, max_lag: int) -> np.ndarray:
     """Biased sample autocorrelation r_k = (1/N) sum_t x_t x_{t+k}, k = 0..max_lag.
@@ -107,6 +164,15 @@ def fit_from_autocorr(
                           dt=dt, n_samples=n_samples)
 
 
+def toeplitz_solve(r, m):
+    """Dense solve of the order-m normal equations; returns (a, p)."""
+    idx = np.abs(np.subtract.outer(np.arange(1, m + 1), np.arange(1, m + 1)))
+    tail = np.linalg.solve(r[idx], -r[1 : m + 1])
+    a = np.concatenate([[1.0], tail])
+    p = float(a @ r[: m + 1])
+    return a, p
+
+
 def autocorr_from_psd(sd: SpectralDensity, lags) -> np.ndarray:
     """Trapezoid quadrature of int S(f) exp(i 2 pi f k dt) df at each lag.
 
@@ -141,6 +207,75 @@ def autocorr_from_psd(sd: SpectralDensity, lags) -> np.ndarray:
     return np.ascontiguousarray(r.real)
 
 
+# --- order selection ---------------------------------------------------------
+
+def scan(p, criterion, n, c=None, patience=math.inf):
+    """Scan of the powers ``p`` (indexed by order) and reflections ``c``, in full by default."""
+    c = np.zeros(len(p) - 1) if c is None else c
+    return scan_orders(zip(range(len(p)), p, [None, *c]), Criterion(criterion), n, patience)
+
+
+def loss_fpe(p_m: float, n: int, m: int) -> float:
+    """Final Prediction Error loss P_m (N+m+1)/(N-m-1)."""
+    if m >= n - 1:
+        raise UndefinedLossError(f"FPE undefined for m={m} with n={n}")
+    return p_m * (n + m + 1) / (n - m - 1)
+
+
+def loss_cat(p, n: int, m: int) -> float:
+    """Parzen's CAT loss at order m >= 1.
+
+    ``p`` is indexed by order (p[0] present but unused): the loss is
+    (1/N) sum_{k=1..m} (N-k)/(N P_k) - (N-m)/(N P_m).
+
+    Once the residuals whiten, this loss decreases under nearly the same
+    condition as FPE, so its minimum tracks FPE's order. The reading that
+    takes the reciprocal of the whole sum, which picks much larger and more
+    widely spread orders, is ``loss_cat_inverse_sum``.
+    """
+    if m < 1:
+        raise UndefinedLossError("CAT is undefined at order 0")
+    p = np.asarray(p, dtype=np.float64)
+    if np.any(p[1 : m + 1] == 0.0):
+        raise UndefinedLossError("CAT undefined: zero prediction-error power")
+    k = np.arange(1, m + 1)
+    return float(np.sum((n - k) / (n * p[1 : m + 1])) / n - (n - m) / (n * p[m]))
+
+
+def loss_cat_inverse_sum(p, n: int, m: int) -> float:
+    """CAT read with the reciprocal of the whole sum, at order m >= 1.
+
+    ``p`` is indexed by order (p[0] present but unused). With the unbiased
+    powers Pbar_k = N P_k / (N-k), the loss is
+    1 / (N sum_{k=1..m} Pbar_k) - 1 / Pbar_m.
+    """
+    if m < 1:
+        raise UndefinedLossError("CAT (inverse sum) is undefined at order 0")
+    p = np.asarray(p, dtype=np.float64)
+    if np.any(p[1 : m + 1] == 0.0):
+        raise UndefinedLossError("CAT (inverse sum) undefined: zero prediction-error power")
+    k = np.arange(1, m + 1)
+    return float(1.0 / (n * np.sum(n * p[1 : m + 1] / (n - k))) - (n - m) / (n * p[m]))
+
+
+def loss_obd(p, a, n: int, m: int) -> float:
+    """Rao's Optimum Bayes Decision loss at order m.
+
+    ``p`` is indexed by order; ``a`` is the order-m coefficient vector
+    (a[0] == 1). Natural logarithms throughout.
+    """
+    p = np.asarray(p, dtype=np.float64)
+    a = np.asarray(a, dtype=np.float64)
+    if np.any(p[: m + 1] == 0.0):
+        raise UndefinedLossError("OBD undefined: zero prediction-error power")
+    value = (n - m - 2) * math.log(p[m]) + m * math.log(n)
+    if m >= 1:
+        value += float(np.sum(np.log(p[:m]))) + float(a[1 : m + 1] @ a[1 : m + 1])
+    return value
+
+
+# --- ensembles and densities -------------------------------------------------
+
 def relative_error_ensemble(estimates, truth: SpectralDensity) -> SpectralDensity:
     """Per-frequency mean relative deviation over an ensemble of estimates."""
     if not estimates:
@@ -153,6 +288,13 @@ def relative_error_ensemble(estimates, truth: SpectralDensity) -> SpectralDensit
             raise ValidationError("all estimates must share the truth's frequency grid")
         acc += np.abs(est.values - truth.values) / truth.values
     return SpectralDensity(freqs=truth.freqs, values=acc / len(estimates))
+
+
+def three_peak_curve(f):
+    """A flat floor with a low-pass shoulder and Lorentzian peaks at 60, 350 and 1100 Hz."""
+    f = np.asarray(f, dtype=float)
+    return (1.0 + 30.0 / (1.0 + (f / 40.0) ** 2) + 40.0 / (1.0 + ((f - 60.0) / 6.0) ** 2)
+            + 25.0 / (1.0 + ((f - 350.0) / 12.0) ** 2) + 12.0 / (1.0 + ((f - 1100.0) / 25.0) ** 2))
 
 
 def aligo_psd(f, floor: float) -> np.ndarray:

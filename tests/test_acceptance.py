@@ -26,7 +26,15 @@ from mesa.selection import max_order, scan_orders, select_order
 from mesa.spectrum import psd
 from mesa.synth import generate_ar, generate_from_psd
 from mesa.validate import relative_error_freq_avg, run_gaussian_experiment, run_order_recovery
-from oracles import aligo_psd, autocorr_from_psd, levinson_step, reflection_yule_walker, sample_autocorrelation
+from oracles import (
+    aligo_psd,
+    autocorr_from_psd,
+    levinson_step,
+    reflection_yule_walker,
+    sample_autocorrelation,
+    three_peak_curve,
+    toeplitz_solve,
+)
 
 GAUSSIAN_SEED = 515
 RECOVERY_SEED = 99
@@ -69,17 +77,6 @@ def run_recovery_study():
 @pytest.fixture(scope="module")
 def recovery_records():
     return run_recovery_study()
-
-
-def three_peak_curve(f):
-    f = np.asarray(f, dtype=float)
-    floor = 1.0 + 30.0 / (1.0 + (f / 40.0) ** 2)
-    peaks = (
-        40.0 / (1.0 + ((f - 60.0) / 6.0) ** 2)
-        + 25.0 / (1.0 + ((f - 350.0) / 12.0) ** 2)
-        + 12.0 / (1.0 + ((f - 1100.0) / 25.0) ** 2)
-    )
-    return floor + peaks
 
 
 def run_compare(seed: int) -> dict:
@@ -154,9 +151,7 @@ def test_criterion_01_yule_walker_matches_dense_toeplitz():
         for _ in range(m):
             c = reflection_yule_walker(a, r, p)
             a, p = levinson_step(a, p, c)
-        idx = np.abs(np.subtract.outer(np.arange(1, m + 1), np.arange(1, m + 1)))
-        a_ref = np.concatenate([[1.0], np.linalg.solve(r[idx], -r[1 : m + 1])])
-        p_ref = float(a_ref @ r[: m + 1])
+        a_ref, p_ref = toeplitz_solve(r, m)
         worst = max(worst, float(np.max(np.abs(a - a_ref)) / np.max(np.abs(a_ref))))
         worst = max(worst, abs(p - p_ref) / p_ref)
     elapsed = time.time() - t0

@@ -361,8 +361,28 @@ def test_welch_rejects_a_window_without_energy(tmp_path, capsys):
     data = write_noise(tmp_path / "noise.csv", n=64)
     out = tmp_path / "welch.csv"
     assert run(["welch", "--in", data, "--dt", "1", "--segment", "2", "--out", out]) == 2
-    assert "window's energy" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "window's energy" in err
+    assert "--segment 2 with --tukey 0.4" in err
     assert not out.exists()
+
+
+def no_fit(*args, **kwargs):
+    raise AssertionError("the series was fitted before the flags were checked")
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--segment", "2"], "--segment 2 with --tukey 0.4 gives a window of zeros"),
+    (["--tukey", "2"], "--tukey must be in [0, 1], got 2.0"),
+    (["--overlap", "1"], "--overlap must be in [0, 1), got 1.0"),
+], ids=["segment-2", "tukey", "overlap"])
+def test_compare_checks_the_window_before_fitting(tmp_path, monkeypatch, capsys, flags, message):
+    monkeypatch.setattr("mesa.cli.fit", no_fit)
+    tab = write_tabulated(tmp_path / "target.csv")
+    assert run(["compare", "--psd", tab, "--duration", "2", "--fs", "128", "--seed", "5",
+                *flags, "--out-prefix", tmp_path / "cmp"]) == 2
+    assert message in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["target.csv"]
 
 
 def test_forecast_command(tmp_path):
@@ -580,9 +600,6 @@ def test_negative_seed_is_a_usage_error(tmp_path, capsys, argv):
 
 
 def test_estimate_checks_the_grid_before_fitting(tmp_path, monkeypatch, capsys):
-    def no_fit(*args, **kwargs):
-        raise AssertionError("the series was fitted before --n-freqs was checked")
-
     monkeypatch.setattr("mesa.cli.fit", no_fit)
     data = write_noise(tmp_path / "noise.csv")
     assert run(["estimate", "--in", data, "--dt", "0.01", "--n-freqs", "1",
@@ -622,7 +639,7 @@ def test_estimate_exactly_periodic_series_exit_code(tmp_path, capsys, n):
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
-def test_forecast_refuses_a_non_finite_noise_scale(tmp_path, capsys, value):
+def test_forecast_refuses_a_non_finite_or_negative_p_m(tmp_path, capsys, value):
     # the innovations' scale is sqrt(p_m), so a model JSON carries it; json reads NaN and Infinity
     model = tmp_path / "model.json"
     p_m = {"nan": "NaN", "inf": "Infinity", "-1": "-1"}[value]
@@ -717,6 +734,7 @@ def write_refusal_inputs(tmp):
 FORECAST = ["forecast", "--model", "{tmp}/model.json", "--in", "{tmp}/seed.csv", "--horizon", "3",
             "--seed", "1", "--out", "{tmp}/out.csv"]
 ESTIMATE = ["estimate", "--out-prefix", "{tmp}/out"]
+COMPARE = ["compare", "--psd", "{tmp}/target.csv", "--seed", "1", "--out-prefix", "{tmp}/out"]
 WELCH = ["welch", "--in", "{tmp}/noise.csv", "--dt", "1", "--out", "{tmp}/out.csv"]
 GENERATE = ["generate", "--model", "{tmp}/model.json", "--seed", "1", "--out", "{tmp}/out.csv"]
 TARGET = ["generate", "--n", "64", "--seed", "1", "--out", "{tmp}/out.csv"]
@@ -725,8 +743,10 @@ DT_MESSAGE = "dt must be finite and > 0"
 
 @pytest.mark.parametrize("argv, message", [
     (FORECAST + ["--dt", "1", "--quantiles", "0.1,x"], "bad --quantiles value"),
-    (["compare", "--psd", "{tmp}/target.csv", "--duration", "1", "--fs", "3", "--seed", "1",
-      "--out-prefix", "{tmp}/out"], "duration*fs must be an even sample count, got 3"),
+    (COMPARE + ["--duration", "1", "--fs", "3"],
+     "duration*fs must be a positive even sample count, got 3"),
+    (COMPARE + ["--duration", "1", "--fs", "-100"], "--fs must be > 0, got -100.0"),
+    (COMPARE + ["--duration", "-1", "--fs", "-100"], "--duration must be > 0, got -1.0"),
     (ESTIMATE + ["--in", "{tmp}/x.bin", "--binary"], "binary input requires --dt"),
     (ESTIMATE + ["--in", "{tmp}/decreasing.csv"], "time column must be increasing"),
     (ESTIMATE + ["--in", "{tmp}/uneven.csv"], "time column is not uniformly spaced"),
@@ -734,6 +754,8 @@ DT_MESSAGE = "dt must be finite and > 0"
      "--dt disagrees with the file's time column"),
     (WELCH + ["--segment", "1"], "segment_len must be >= 2"),
     (WELCH + ["--segment", "4", "--overlap", "0.9"], "overlap too large: hop would be zero"),
+    (WELCH + ["--segment", "4", "--overlap", "1"], "--overlap must be in [0, 1), got 1.0"),
+    (WELCH + ["--segment", "4", "--tukey", "-0.1"], "--tukey must be in [0, 1], got -0.1"),
     (GENERATE + ["--n", "1"], "need n >= 2"),
     (GENERATE + ["--n", "64", "--burn-in", "-1"], "burn_in must be >= 0"),
     (FORECAST + ["--dt", "2"], "seed and model sampling intervals disagree"),
@@ -746,10 +768,10 @@ DT_MESSAGE = "dt must be finite and > 0"
     # the atomic writer removes its temp file when the rename fails
     (["estimate", "--in", "{tmp}/noise.csv", "--dt", "1", "--out-prefix", "{tmp}/taken"],
      "Is a directory"),
-], ids=["quantiles", "odd-count", "binary-dt", "decreasing-time", "uneven-time", "dt-disagrees",
-        "segment", "overlap", "generate-n", "burn-in", "forecast-dt", "psd-dt-zero",
-        "psd-dt-negative", "psd-dt-nan", "psd-dt-inf", "gaussian-dt-nan", "gaussian-dt-inf",
-        "output-is-a-directory"])
+], ids=["quantiles", "odd-count", "compare-fs", "compare-duration", "binary-dt",
+        "decreasing-time", "uneven-time", "dt-disagrees", "segment", "overlap", "overlap-range",
+        "tukey-range", "generate-n", "burn-in", "forecast-dt", "psd-dt-zero", "psd-dt-negative",
+        "psd-dt-nan", "psd-dt-inf", "gaussian-dt-nan", "gaussian-dt-inf", "output-is-a-directory"])
 def test_refusals_exit_2_and_write_nothing(tmp_path, capsys, argv, message):
     write_refusal_inputs(tmp_path)
     before = sorted(tmp_path.iterdir())

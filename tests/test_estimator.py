@@ -1,7 +1,7 @@
 """Estimator operations against independent oracles.
 
-Oracles live in this file and stay dumb: autocorrelation as the literal
-defining sum, Yule-Walker coefficients as a dense Toeplitz solve.
+The oracles stay dumb: autocorrelation as the literal defining sum (here),
+Yule-Walker coefficients as a dense Toeplitz solve (``oracles.toeplitz_solve``).
 """
 import tracemalloc
 
@@ -12,7 +12,13 @@ from scipy.signal import lfilter
 from mesa.core import DegenerateModelError, TimeSeries, ValidationError
 from mesa.estimator import _autocovariance, _fft_length, fit, reflection_coefficients
 from mesa.selection import max_order
-from oracles import fit_from_autocorr, levinson_step, reflection_yule_walker, sample_autocorrelation
+from oracles import (
+    fit_from_autocorr,
+    levinson_step,
+    reflection_yule_walker,
+    sample_autocorrelation,
+    toeplitz_solve,
+)
 
 
 def autocorr_oracle(x, max_lag):
@@ -20,15 +26,6 @@ def autocorr_oracle(x, max_lag):
     n = len(x)
     return np.array([sum(x[t] * x[t + k] for t in range(n - k)) / n
                      for k in range(max_lag + 1)])
-
-
-def toeplitz_solve_oracle(r, m):
-    """Dense solve of the order-m normal equations; returns (a, p)."""
-    idx = np.abs(np.subtract.outer(np.arange(1, m + 1), np.arange(1, m + 1)))
-    tail = np.linalg.solve(r[idx], -r[1 : m + 1])
-    a = np.concatenate([[1.0], tail])
-    p = float(a @ r[: m + 1])
-    return a, p
 
 
 def ar_series(a, n, seed, p_m=1.0):
@@ -123,7 +120,7 @@ def test_levinson_step_hand_example():
     np.testing.assert_allclose(a, [1.0, -0.5], atol=1e-15)
     assert p == pytest.approx(0.75, abs=1e-15)
     # cross-check against the 1x1 Toeplitz solve with r = (1, 0.5)
-    a_ref, p_ref = toeplitz_solve_oracle(np.array([1.0, 0.5]), 1)
+    a_ref, p_ref = toeplitz_solve(np.array([1.0, 0.5]), 1)
     np.testing.assert_allclose(a, a_ref, atol=1e-15)
     assert p == pytest.approx(p_ref, abs=1e-15)
 
@@ -250,7 +247,7 @@ def test_yule_walker_equals_dense_toeplitz_solve():
     r = sample_autocorrelation(TimeSeries(x, dt=1.0), 30)
     trace = fit_from_autocorr(r, 30)
     for m in (1, 5, 17, 30):
-        a_ref, p_ref = toeplitz_solve_oracle(r, m)
+        a_ref, p_ref = toeplitz_solve(r, m)
         np.testing.assert_allclose(trace.coefficients(m), a_ref, rtol=1e-10, atol=1e-12)
         assert trace.p[m] == pytest.approx(p_ref, rel=1e-10)
 

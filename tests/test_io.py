@@ -28,6 +28,19 @@ def estimate(path, tmp_path):
     return main(["estimate", "--in", str(path), "--dt", "1", "--out-prefix", str(tmp_path / "o")])
 
 
+def outcome(reader, path):
+    """The shape and bytes of what ``reader`` reads from ``path``, or its message.
+
+    The path is written ``<in>`` in a message, so that two names of one
+    text compare equal.
+    """
+    try:
+        data = reader(path)
+    except ValidationError as exc:
+        return str(exc).replace(str(path), "<in>")
+    return data.shape, data.tobytes()
+
+
 def float_oracle(text: str) -> np.ndarray:
     """One Python ``float()`` per token of every non-blank line."""
     rows = [[float(tok) for tok in line.replace(",", " ").split()]
@@ -163,14 +176,6 @@ def test_fast_reader_agrees_with_line_reader_on_random_files(tmp_path):
     cells = ["1", "-2.5", "3e5", "-0", "5e-324", "nan", "-inf", "1_0", "x", ".", "1e", "\x00"]
     seps = [",", " ", "\t", ", ", ",,", "\x0c", "\xa0"]
     ends = ["\n", "\r\n", "\r", "\n\n", "\n \n", "\n,\n", "\n , \n"]
-
-    def outcome(reader, path):
-        try:
-            data = reader(path)
-        except ValidationError as exc:
-            return str(exc)
-        return data.shape, data.tobytes()
-
     path = tmp_path / "r.csv"
     for _ in range(400):
         width = int(rng.integers(1, 4))
@@ -196,15 +201,7 @@ def test_fast_reader_agrees_with_line_reader_on_random_files(tmp_path):
 def test_a_first_line_that_picks_the_wrong_separator_reads_as_the_line_loop(tmp_path, text):
     path = tmp_path / "in.csv"
     path.write_text(text)
-
-    def outcome(reader):
-        try:
-            data = reader(path)
-        except ValidationError as exc:
-            return str(exc)
-        return data.shape, data.tobytes()
-
-    assert outcome(_read_numeric_rows) == outcome(_read_numeric_lines)
+    assert outcome(_read_numeric_rows, path) == outcome(_read_numeric_lines, path)
 
 
 def test_written_tables_are_read_without_the_line_loop(tmp_path, monkeypatch):
@@ -276,13 +273,6 @@ def test_a_file_replaced_while_it_is_read_gives_the_values_first_opened(tmp_path
     "x\n\n",
 ], ids=["header_two_columns", "header", "no_header", "bad_row", "ragged_row", "no_data"])
 def test_a_pipe_reads_as_the_same_text_in_a_file(tmp_path, text):
-    def outcome(path):
-        try:
-            data = _read_numeric_rows(path)
-        except ValidationError as exc:
-            return str(exc).replace(str(path), "<in>")
-        return data.shape, data.tobytes()
-
     (tmp_path / "in.csv").write_text(text)
     read_end, write_end = os.pipe()
 
@@ -293,11 +283,11 @@ def test_a_pipe_reads_as_the_same_text_in_a_file(tmp_path, text):
     writer = threading.Thread(target=write)
     writer.start()
     try:
-        piped = outcome(f"/dev/fd/{read_end}")
+        piped = outcome(_read_numeric_rows, f"/dev/fd/{read_end}")
     finally:
         writer.join()
         os.close(read_end)
-    assert piped == outcome(tmp_path / "in.csv")
+    assert piped == outcome(_read_numeric_rows, tmp_path / "in.csv")
 
 
 def test_a_gzip_file_is_not_a_text_file(tmp_path, capsys):
@@ -327,15 +317,7 @@ LONG_FILES = {
 def test_reader_agrees_with_line_reader_across_chunks(tmp_path, name):
     path = tmp_path / "long.csv"
     path.write_bytes(LONG_FILES[name].encode())
-
-    def outcome(reader):
-        try:
-            data = reader(path)
-        except ValidationError as exc:
-            return str(exc)
-        return data.shape, data.tobytes()
-
-    assert outcome(_read_numeric_rows) == outcome(_read_numeric_lines)
+    assert outcome(_read_numeric_rows, path) == outcome(_read_numeric_lines, path)
 
 
 def test_undecodable_bytes_are_reported_before_a_bad_row(tmp_path):
@@ -359,8 +341,8 @@ def test_reader_memory_does_not_grow_with_the_text(tmp_path):
     assert peak < 4_000_000  # the 1.6 MB of doubles, not the text
 
 
-@pytest.mark.parametrize("last, outcome", [("abc", "unparseable row 200000: 'abc'"), ("1_0", 10.0)])
-def test_line_reader_memory_does_not_grow_with_the_rows(tmp_path, last, outcome):
+@pytest.mark.parametrize("last, expected", [("abc", "unparseable row 200000: 'abc'"), ("1_0", 10.0)])
+def test_line_reader_memory_does_not_grow_with_the_rows(tmp_path, last, expected):
     # a last row np.loadtxt refuses sends the whole file through the line loop:
     # "abc" parses nowhere, "1_0" is a number to Python's float() alone
     path = tmp_path / "big.csv"
@@ -375,8 +357,8 @@ def test_line_reader_memory_does_not_grow_with_the_rows(tmp_path, last, outcome)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    if isinstance(outcome, str):
-        assert outcome in data
+    if isinstance(expected, str):
+        assert expected in data
     else:
-        assert data[:-1, 0].tobytes() == values.tobytes() and data[-1, 0] == outcome
+        assert data[:-1, 0].tobytes() == values.tobytes() and data[-1, 0] == expected
     assert peak < 4_000_000  # 8 bytes a value, not a Python list a row

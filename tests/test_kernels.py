@@ -1,5 +1,5 @@
-"""The Burg steppers: the plain-lattice oracle, degenerate inputs, invariants,
-and Vos's fast Burg against the lattice."""
+"""The Burg steppers: the lattice bit for bit against the plain-lattice oracle,
+degenerate inputs, invariants, and Vos's fast Burg against the oracle."""
 import numpy as np
 import pytest
 
@@ -16,13 +16,7 @@ from mesa.selection import max_order
 from mesa.spectrum import psd
 from mesa.synth import generate_ar, generate_from_psd, random_ar_model
 
-from oracles import aligo_psd
-from test_selection import three_peak_curve
-
-
-def drain(x, max_order):
-    trace = fit(TimeSeries(x, 1.0), max_order)
-    return trace.p, trace.c
+from oracles import FAST_MIN_P_RATIO, FAST_TOL, aligo_psd, drain, plain_lattice, three_peak_curve
 
 
 def lattice(x, max_order):
@@ -31,29 +25,14 @@ def lattice(x, max_order):
     return _steps(x.copy(), x.copy(), 0, max_order)
 
 
-def plain_lattice(x, max_order):
-    """The textbook lattice, allocating fresh error arrays at every order."""
-    n = x.shape[0]
-    p = np.empty(max_order + 1)
-    c = np.empty(max_order)
-    p[0] = x @ x / n
-    f = b = x
-    for k in range(max_order):
-        fa, ba = f[1:], b[:-1]
-        ck = float(np.clip(-2.0 * (fa @ ba) / (fa @ fa + ba @ ba), -1.0, 1.0))
-        c[k] = ck
-        p[k + 1] = p[k] * (1.0 - ck * ck)
-        f, b = fa + ck * ba, ba + ck * fa
-    return p, c
-
-
 @pytest.mark.parametrize("n,order", [(64, 8), (65, 64), (512, 64), (4096, 512)])
 def test_matches_plain_lattice_bitwise(n, order):
     x = np.random.default_rng(n).standard_normal(n).cumsum()
-    p, c = drain(x, order)
-    p_ref, c_ref = plain_lattice(x, order)
-    np.testing.assert_array_equal(p, p_ref)
-    np.testing.assert_array_equal(c, c_ref)
+    trace = fit(TimeSeries(x, 1.0), order)
+    p0 = x @ x / n
+    p_ref, c_ref = drain(plain_lattice(x, order), p0)
+    np.testing.assert_array_equal(trace.p, np.r_[p0, p_ref])
+    np.testing.assert_array_equal(trace.c, c_ref)
 
 
 def test_zero_variance_raises():
@@ -100,7 +79,8 @@ def test_powers_non_increasing_and_reflections_bounded():
     rng = np.random.default_rng(5)
     for _ in range(10):
         x = rng.standard_normal(200)
-        p, c = drain(x, 50)
+        trace = fit(TimeSeries(x, 1.0), 50)
+        p, c = trace.p, trace.c
         assert np.all(np.abs(c) <= 1.0)
         assert np.all(np.diff(p) <= 1e-12 * p[0])
         assert p[0] == pytest.approx(x @ x / x.size)
@@ -110,18 +90,14 @@ def test_readonly_input_left_untouched():
     x = np.random.default_rng(1).standard_normal(256)
     x.flags.writeable = False
     before = x.copy()
-    p, c = drain(x, 16)
-    assert p.shape == (17,) and c.shape == (16,)
+    trace = fit(TimeSeries(x, 1.0), 16)
+    assert trace.p.shape == (17,) and trace.c.shape == (16,)
     np.testing.assert_array_equal(x, before)
 
 
 # --- Vos's fast Burg against the lattice ------------------------------------------
 
 FAST_N = 20_000
-# fast Burg matches the lattice to this, in c and in relative p, at every
-# order whose lattice power is at least FAST_MIN_P_RATIO * p0
-FAST_TOL = 1e-8
-FAST_MIN_P_RATIO = 1e-12
 
 
 def aligo_noise(n):
@@ -151,17 +127,6 @@ def fast_input(name):
     return 1e6 + sine + 1e-6 * rng.standard_normal(FAST_N)
 
 
-def drain_steps(steps, p0):
-    """The powers p_1.. and reflections of a stepper drained to its end.
-
-    The powers are chained from ``p0`` as ``fit`` chains them.
-    """
-    p, c = [p0], list(steps)
-    for ck in c:
-        p.append(p[-1] * (1.0 - ck * ck))
-    return np.array(p[1:]), np.array(c)
-
-
 def fast_run(x, max_order):
     """The reflections fast Burg yields and the filter it hands over, or None."""
     steps, c = _fast_steps(x, max_order), []
@@ -178,12 +143,13 @@ def fast_run(x, max_order):
 def test_fast_burg_matches_lattice(name):
     x = fast_input(name)
     m = 600
-    p_ref, c_ref = plain_lattice(x, m)
-    p0 = p_ref[0]
-    p, c = drain_steps(_fast_then_lattice(x, m), p0)
-    held = p_ref[1:] >= FAST_MIN_P_RATIO * p0
+    p0 = x @ x / x.size
+    p_ref, c_ref = drain(plain_lattice(x, m), p0)
+    p, c = drain(_fast_then_lattice(x, m), p0)
+    assert c_ref.size == c.size == m  # no order is degenerate
+    held = p_ref >= FAST_MIN_P_RATIO * p0
     assert np.max(np.abs(c - c_ref)[held], initial=0.0) <= FAST_TOL
-    assert np.max((np.abs(p - p_ref[1:]) / p_ref[1:])[held], initial=0.0) <= FAST_TOL
+    assert np.max((np.abs(p - p_ref) / p_ref)[held], initial=0.0) <= FAST_TOL
     assert np.all(np.abs(c) <= 1.0) and np.all(np.diff(p) <= 0.0)
 
     # fast Burg refuses an order no later than the first whose power is below
@@ -201,7 +167,7 @@ def test_fast_burg_matches_lattice(name):
             a_ref = _levinson_update(a_ref, ck)
         assert a.tobytes() == a_ref.tobytes()
         f, b = np.convolve(x, a_ref, "valid"), np.convolve(x, a_ref[::-1], "valid")
-        p_tail, c_tail = drain_steps(_steps(f, b, k, m), p[k - 1] if k else p0)
+        p_tail, c_tail = drain(_steps(f, b, k, m), p[k - 1] if k else p0)
         assert p[k:].tobytes() == p_tail.tobytes()
         assert c[k:].tobytes() == c_tail.tobytes()
 
@@ -220,10 +186,11 @@ def test_fast_burg_on_detector_noise_hands_over_at_order_one():
     model = trace.model(trace.selection.chosen_order)
     values = psd(model).values
     assert np.isfinite(values).all() and (values > 0.0).all()
-    p_ref, c_ref = plain_lattice(x, c.size)
-    held = p_ref[1:] >= FAST_MIN_P_RATIO * p_ref[0]
+    p0 = x @ x / n
+    p_ref, c_ref = drain(plain_lattice(x, c.size), p0)
+    held = p_ref >= FAST_MIN_P_RATIO * p0
     assert np.max(np.abs(c - c_ref)[held], initial=0.0) <= FAST_TOL
-    assert np.max((np.abs(p[1:] - p_ref[1:]) / p_ref[1:])[held], initial=0.0) <= FAST_TOL
+    assert np.max((np.abs(p[1:] - p_ref) / p_ref)[held], initial=0.0) <= FAST_TOL
 
 
 def test_fast_burg_hands_over_where_few_samples_remain():
@@ -231,10 +198,11 @@ def test_fast_burg_hands_over_where_few_samples_remain():
     # order-0 value while p_k is not: the energy guard hands those orders over
     n = 8192
     x = np.random.default_rng(1).standard_normal(n)
-    p_ref, c_ref = plain_lattice(x, n - 1)
-    p, c = drain_steps(_fast_then_lattice(x, n - 1), p_ref[0])
+    p0 = x @ x / n
+    p_ref, c_ref = drain(plain_lattice(x, n - 1), p0)
+    p, c = drain(_fast_then_lattice(x, n - 1), p0)
     assert np.max(np.abs(c - c_ref)) <= 1e-4
-    assert np.max(np.abs(p - p_ref[1:]) / p_ref[1:]) <= 1e-4
+    assert np.max(np.abs(p - p_ref) / p_ref) <= 1e-4
     # the lattice computes the last 19 orders, where 20 or fewer samples remain
     _, a = fast_run(x, n - 1)
     assert a.size - 1 == 8172
@@ -247,8 +215,8 @@ def test_dispatch_depends_on_length_alone():
         xn = x[:n]
         p0 = xn @ xn / n
         for m in (1, 50):
-            by_lattice = drain_steps(lattice(xn, m), p0)
-            by_fast = drain_steps(_fast_then_lattice(xn, m), p0)
+            by_lattice = drain(lattice(xn, m), p0)
+            by_fast = drain(_fast_then_lattice(xn, m), p0)
             p, c = by_fast if fast else by_lattice
             trace = fit(TimeSeries(xn, 1.0), m)
             assert trace.p.tobytes() == np.r_[p0, p].tobytes()

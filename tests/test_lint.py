@@ -1,4 +1,6 @@
-"""Source hygiene the repo checks without a linter."""
+"""Source hygiene the repo checks without a linter: in the package, no unused
+import and no unread private name; in the tests, one definition of each
+helper, which no test module imports from another."""
 import ast
 from pathlib import Path
 
@@ -6,6 +8,11 @@ import pytest
 
 PACKAGE = sorted((Path(__file__).parents[1] / "src" / "mesa").glob("*.py"))
 SOURCES = [p for p in PACKAGE if p.name != "__init__.py"]  # it imports in order to re-export
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
+
+
+def parse(paths) -> dict:
+    return {path.name: ast.parse(path.read_text(), str(path)) for path in paths}
 
 
 def unused_imports(tree: ast.Module) -> list[str]:
@@ -63,8 +70,7 @@ def unread_private_names(trees: dict) -> list[str]:
 
 
 def test_no_private_name_outlives_its_last_reader():
-    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in PACKAGE}
-    assert unread_private_names(trees) == []
+    assert unread_private_names(parse(PACKAGE)) == []
 
 
 def test_an_unread_private_name_is_found():
@@ -73,3 +79,60 @@ def test_an_unread_private_name_is_found():
     caller = "import a\nfrom a import _imported\n\na._by_attribute()\n_by_name()\n"
     trees = {"a.py": ast.parse(helpers), "b.py": ast.parse(caller)}
     assert unread_private_names(trees) == ["a.py:13 _Unread", "a.py:17 _LIMIT"]
+
+
+def imported_test_modules(trees: dict) -> list[str]:
+    """``file:line module`` for each import of a ``test_*`` module in ``trees``.
+
+    A helper two test modules share is defined once, in ``oracles``, not
+    borrowed from a test module that happens to define it.
+    """
+    found = []
+    for file, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                modules = [node.module]
+            else:
+                continue
+            found += [f"{file}:{node.lineno} {module}" for module in modules
+                      if module.partition(".")[0].startswith("test_")]
+    return found
+
+
+def test_no_test_module_imports_another():
+    assert imported_test_modules(parse(TESTS)) == []
+
+
+def test_an_import_of_a_test_module_is_found():
+    source = ("import oracles\nimport test_io\nfrom testing import case\n"
+              "from test_selection import scan\n\n\ndef f():\n    import test_cli\n")
+    assert imported_test_modules({"a.py": ast.parse(source)}) == [
+        "a.py:2 test_io", "a.py:4 test_selection", "a.py:8 test_cli"]
+
+
+def helpers_defined_twice(trees: dict) -> list[str]:
+    """``name file:line ...`` for each module-level helper ``trees`` define more than once.
+
+    A helper is a top-level function whose name does not start with ``test_``.
+    """
+    defined = {}
+    for file, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if not node.name.startswith("test_"):
+                    defined.setdefault(node.name, []).append(f"{file}:{node.lineno}")
+    return [f"{name} {' '.join(where)}" for name, where in sorted(defined.items())
+            if len(where) > 1]
+
+
+def test_no_helper_is_defined_in_two_test_modules():
+    assert helpers_defined_twice(parse(TESTS)) == []
+
+
+def test_a_helper_defined_twice_is_found():
+    first = "def drain():\n    pass\n\n\ndef test_a():\n    def outcome():\n        pass\n"
+    second = "def test_a():\n    pass\n\n\ndef outcome():\n    pass\n\n\ndef drain():\n    pass\n"
+    trees = {"a.py": ast.parse(first), "b.py": ast.parse(second)}
+    assert helpers_defined_twice(trees) == ["drain a.py:1 b.py:9"]

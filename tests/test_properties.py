@@ -14,19 +14,12 @@ from mesa.estimator import (
     FAST_BURG_GUARD_RATIO,
     FAST_BURG_MIN_N,
     _fast_then_lattice,
-    _steps,
     fit,
     reflection_coefficients,
 )
 from mesa.selection import default_patience, max_order, select_order
 from mesa.spectrum import _denominator_direct, frequency_grid, psd
-from oracles import levinson_step
-from test_selection import scan
-
-# the tolerance of fast Burg against the lattice, in c and in relative p, at
-# orders whose lattice power is at least MIN_P_RATIO * p0
-TOL = 1e-8
-MIN_P_RATIO = 1e-12
+from oracles import FAST_MIN_P_RATIO, FAST_TOL, drain, levinson_step, plain_lattice, scan
 
 # a chosen model whose power is below this fraction of p0 fits a series that is
 # perfectly predictable to working precision, and may have no finite positive density
@@ -48,21 +41,6 @@ def long_series(draw):
 
 
 series = st.one_of(hnp.arrays(np.float64, st.integers(4, 400), elements=values), long_series())
-
-
-def drain(steps, p0):
-    """The powers and reflections of a stepper before it ends or finds a degenerate order.
-
-    The powers are chained from ``p0`` as ``fit`` chains them.
-    """
-    p, c = [p0], []
-    try:
-        for ck in steps:
-            p.append(p[-1] * (1.0 - ck * ck))
-            c.append(ck)
-    except DegenerateModelError:
-        pass
-    return np.array(p[1:]), np.array(c)
 
 
 @given(series, st.integers(1, 500), st.sampled_from(list(Criterion)))
@@ -104,15 +82,15 @@ def test_fast_burg_matches_lattice(x, m):
     p0 = x @ x / len(x)
     if p0 == 0.0:
         return
-    p_ref, c_ref = drain(_steps(x.copy(), x.copy(), 0, m), p0)
+    p_ref, c_ref = drain(plain_lattice(x, m), p0)
     p, c = drain(_fast_then_lattice(x, m), p0)
     k = min(len(p), len(p_ref))
     p, c, p_ref, c_ref = p[:k], c[:k], p_ref[:k], c_ref[:k]
-    held = p_ref >= MIN_P_RATIO * p0
-    # rounding relative to p0 is amplified by p0 / p_k: the agreement is TOL
+    held = p_ref >= FAST_MIN_P_RATIO * p0
+    # rounding relative to p0 is amplified by p0 / p_k: the agreement is FAST_TOL
     # down to ten times the guard ratio and degrades in proportion below it,
     # where both sides run the lattice, from differently rounded errors
-    tol = TOL * np.maximum(1.0, 10.0 * FAST_BURG_GUARD_RATIO * p0 / p_ref[held])
+    tol = FAST_TOL * np.maximum(1.0, 10.0 * FAST_BURG_GUARD_RATIO * p0 / p_ref[held])
     assert np.all(np.abs(c - c_ref)[held] <= tol)
     assert np.all(np.abs(p - p_ref)[held] / p_ref[held] <= tol)
 

@@ -16,25 +16,14 @@ from mesa.core import (
     ValidationError,
 )
 from mesa.estimator import FAST_BURG_MIN_N, fit
-from mesa.selection import (
-    default_patience,
-    max_order,
-    scan_orders,
-    select_order,
-)
+from mesa.selection import default_patience, max_order, select_order
 from mesa.synth import generate_ar, generate_from_psd, random_ar_model
 
-from loss_oracles import loss_cat, loss_cat_inverse_sum, loss_fpe, loss_obd
+from oracles import loss_cat, loss_cat_inverse_sum, loss_fpe, loss_obd, scan, three_peak_curve
 
 
 def make_trace(p, c, n):
     return RecursionTrace(p=p, c=c, dt=1.0, n_samples=n)
-
-
-def scan(p, criterion, n, c=None, patience=math.inf):
-    """Scan of the powers ``p`` (indexed by order) and reflections ``c``, in full by default."""
-    c = np.zeros(len(p) - 1) if c is None else c
-    return scan_orders(zip(range(len(p)), p, [None, *c]), Criterion(criterion), n, patience)
 
 
 # --- max_order ---------------------------------------------------------------
@@ -318,12 +307,6 @@ PARITY_NS = (12_000, 20_000)
 
 def test_parity_sizes_cover_both_recursions():
     assert PARITY_NS[0] < FAST_BURG_MIN_N <= PARITY_NS[1]
-
-
-def three_peak_curve(f):
-    f = np.asarray(f, dtype=float)
-    return (1.0 + 30.0 / (1.0 + (f / 40.0) ** 2) + 40.0 / (1.0 + ((f - 60.0) / 6.0) ** 2)
-            + 25.0 / (1.0 + ((f - 350.0) / 12.0) ** 2) + 12.0 / (1.0 + ((f - 1100.0) / 25.0) ** 2))
 
 
 @functools.lru_cache(maxsize=None)
