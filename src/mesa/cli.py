@@ -210,6 +210,8 @@ def cmd_generate(args) -> int:
 
 def _welch_window(args) -> np.ndarray:
     """The Tukey window of ``--segment`` and ``--tukey``, with ``--overlap`` checked, by flag."""
+    if args.segment < 2:
+        raise ValidationError(f"--segment must be >= 2, got {args.segment}")
     if not 0.0 <= args.tukey <= 1.0:
         raise ValidationError(f"--tukey must be in [0, 1], got {args.tukey}")
     if not 0.0 <= args.overlap < 1.0:
@@ -241,6 +243,8 @@ def cmd_compare(args) -> int:
     if n < 2 or n % 2:
         raise ValidationError(f"duration*fs must be a positive even sample count, got {n}")
     window = _welch_window(args)
+    if args.segment > n:
+        raise ValidationError(f"--segment {args.segment} exceeds the {n} samples of duration*fs")
     dt = 1.0 / args.fs
     target = synth.tabulated_curve(_io.read_psd_csv(args.psd, dt), args.psd_interp)
     ts = synth.generate_from_psd(target, n, dt, args.seed)

@@ -82,17 +82,18 @@ def _require(condition: bool, message: str) -> None:
         raise ValidationError(message)
 
 
-def _levinson_update(a: np.ndarray, c: float) -> np.ndarray:
-    """Raise the order of a prediction error filter by one reflection.
+def _step_up(a: np.ndarray, m: int, c: float, scratch: np.ndarray) -> None:
+    """Raise the order-``m`` prediction error filter ``a[:m + 1]`` to order m+1 in place.
 
-    Real-coefficient form of the order-update: append a zero, add ``c``
-    times the reversed filter shifted by one.
+    Real-coefficient form of the order-update: a_i += c a_{m+1-i} for
+    i = 1..m+1, with a_{m+1} = 0 before the update. ``a`` holds at least
+    m+2 values and ``scratch`` at least m+1; the products go to
+    ``scratch`` first, since they read the filter the sums overwrite.
     """
-    out = np.empty(a.shape[0] + 1)
-    out[:-1] = a
-    out[-1] = 0.0
-    out[1:] += c * a[::-1]
-    return out
+    products = scratch[: m + 1]
+    np.multiply(a[m::-1], c, out=products)
+    a[m + 1] = 0.0
+    a[1 : m + 2] += products
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,9 +209,11 @@ class RecursionTrace:
         """Coefficient vector (1, a_1, .., a_order), replayed from ``c``."""
         if not 0 <= order <= self.max_order:
             raise ValidationError(f"order {order} outside trace range 0..{self.max_order}")
-        a = np.ones(1)
+        a = np.empty(order + 1)
+        a[0] = 1.0
+        scratch = np.empty(order)
         for k in range(order):
-            a = _levinson_update(a, self.c[k])
+            _step_up(a, k, self.c[k], scratch)
         return a
 
     def model(self, order: int) -> ArModel:

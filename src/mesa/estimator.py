@@ -18,7 +18,7 @@ from mesa.core import (
     RecursionTrace,
     TimeSeries,
     ValidationError,
-    _levinson_update,
+    _step_up,
 )
 from mesa.selection import default_patience, max_order as order_bound, scan_orders
 
@@ -89,10 +89,10 @@ def _steps(f: np.ndarray, b: np.ndarray, start: int, max_order: int):
         size = n - k - 1
         fa = f[1 : size + 1]
         ba = b[:size]
-        den = fa @ fa + ba @ ba
+        den = fa.dot(fa) + ba.dot(ba)
         if den == 0.0:
             raise DegenerateModelError(f"prediction errors vanished at order {k}")
-        ck = -2.0 * (fa @ ba) / den
+        ck = float(-2.0 * fa.dot(ba) / den)
         # |c| <= 1 analytically; clamp the last-ulp excess
         if ck > 1.0:
             ck = 1.0
@@ -124,15 +124,18 @@ def _fast_steps(x: np.ndarray, max_order: int):
     n = x.shape[0]
     acov = _autocovariance(x, max_order)
     xr = x[::-1].copy()  # xr[n-1-t] = x[t]: reversed runs of x as contiguous slices
-    a = np.ones(1)
+    buf = np.empty(max_order + 1)  # the order-k filter is buf[:k + 1]
+    buf[0] = 1.0
+    scratch = np.empty(max_order)
     g = np.array([2.0 * acov[0] - x[0] * x[0] - x[-1] * x[-1], 2.0 * acov[1]])
     r = np.empty(max_order + 1)  # r[m-1] is lag m of Psi's first row
     r[0] = 2.0 * acov[1]
-    scale = 2.0 * acov[0]  # the size of Psi's entries
+    scale = float(2.0 * acov[0])  # the size of Psi's entries
     for k in range(max_order):
-        den = a @ g[:-1]  # the forward plus backward error energy of order k
+        a = buf[: k + 1]
+        den = a.dot(g[:-1])  # the forward plus backward error energy of order k
         if den > 0.0:
-            ck = min(max(-(a @ g[:0:-1]) / den, -1.0), 1.0)
+            ck = min(max(float(-(a @ g[:0:-1]) / den), -1.0), 1.0)
         # den and c come from sums of size ``scale`` by cancellation: the
         # guard refuses an order whose error energy would fall below the
         # guard ratio of that size
@@ -144,10 +147,11 @@ def _fast_steps(x: np.ndarray, max_order: int):
         # order k+1 drops x_{k+1} from the forward sums and x_{n-k-2} from
         # the backward ones: u and v are the rows of x those samples start
         g = g + ck * g[::-1]
-        a = _levinson_update(a, ck)
+        _step_up(buf, k, ck, scratch)
+        a = buf[: k + 2]
         u = xr[n - k - 2 :]
         v = x[n - k - 2 :]
-        g -= u * (u @ a) + v * (v @ a)
+        g -= u * u.dot(a) + v * v.dot(a)
         r[: k + 1] -= x[k + 1] * xr[n - k - 1 :] + x[n - k - 2] * x[n - k - 1 :]
         r[k + 1] = 2.0 * acov[k + 2]
         g = np.append(g, a @ r[k + 1 :: -1])
@@ -217,11 +221,11 @@ def fit(
     if top == 0.0:
         raise DegenerateModelError("zero-variance input")
     if _UNSCALED_MAX_ABS[0] <= top <= _UNSCALED_MAX_ABS[1]:
-        p0 = x @ x / n
+        p0 = x.dot(x) / n
     else:
         e = math.frexp(top)[1]
         x = np.ldexp(x, -e)
-        unit_p0 = x @ x / n
+        unit_p0 = x.dot(x) / n
         with np.errstate(over="ignore", under="ignore"):
             p0 = np.ldexp(unit_p0, 2 * e)
         if not np.finfo(np.float64).tiny <= p0 < np.inf:
@@ -232,11 +236,11 @@ def fit(
         steps = _fast_then_lattice(x, max_order)
     else:
         steps = _steps(x.copy(), x.copy(), 0, max_order)
-    p, c = [p0], []
+    p, c = [float(p0)], []
 
     def orders():
         """``(m, p_m, c_{m-1})`` from order 0, each order recorded as it is computed."""
-        yield 0, p0, None
+        yield 0, p[0], None
         for ck in steps:
             p.append(p[-1] * (1.0 - ck * ck))
             c.append(ck)

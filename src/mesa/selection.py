@@ -12,7 +12,7 @@ from mesa.core import (
     RecursionTrace,
     UndefinedLossError,
     ValidationError,
-    _levinson_update,
+    _step_up,
 )
 
 
@@ -80,16 +80,23 @@ def _loss_sequence(orders, criterion: Criterion, n: int):
             acc += n * pm / (n - m) if invsum else inv
             yield m, 1.0 / (n * acc) - inv if invsum else acc / n - inv
     else:  # Criterion.OBD
-        # the order-m coefficient vector is raised from order m-1 as orders arrive
+        # the order-m coefficient vector is raised from order m-1 in place
+        # as orders arrive; its buffer doubles with the orders read
         log_acc = 0.0
+        log_n = math.log(n)
         a = np.ones(1)
+        scratch = np.empty(1)
         for m, pm, cm in orders:
             if m >= 1:
-                a = _levinson_update(a, cm)
+                if m == a.size:
+                    a = np.concatenate((a, np.empty_like(a)))
+                    scratch = np.empty_like(a)
+                _step_up(a, m - 1, cm, scratch)
             if pm == 0.0:
                 return
             log_pm = math.log(pm)
-            yield m, (n - m - 2) * log_pm + m * math.log(n) + log_acc + float(a[1:] @ a[1:])
+            head = a[1 : m + 1]
+            yield m, (n - m - 2) * log_pm + m * log_n + log_acc + float(head.dot(head))
             log_acc += log_pm
 
 
@@ -106,7 +113,7 @@ def scan_orders(orders, criterion: Criterion, n: int, patience: float) -> OrderS
     if not patience >= 1:
         raise ValidationError(f"patience must be >= 1, got {patience}")
     losses: list[float] = []
-    best_loss = np.inf
+    best_loss = math.inf
     best_order = -1
     early_stopped = False
     for m, value in _loss_sequence(orders, criterion, n):

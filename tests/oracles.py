@@ -31,7 +31,6 @@ from mesa.core import (
     TimeSeries,
     UndefinedLossError,
     ValidationError,
-    _levinson_update,
 )
 from mesa.estimator import _autocovariance
 from mesa.selection import scan_orders
@@ -99,10 +98,13 @@ def sample_autocorrelation(ts: TimeSeries, max_lag: int) -> np.ndarray:
 
 
 def levinson_step(prev_a: np.ndarray, prev_p: float, c: float) -> tuple[np.ndarray, float]:
-    """One order-raising step of the Levinson recursion.
+    """One order-raising step of the Levinson recursion, into a new array.
 
     Returns the order-N coefficient vector and prediction-error power built
-    from the order-(N-1) quantities and the reflection coefficient ``c``.
+    from the order-(N-1) quantities and the reflection coefficient ``c``:
+    the textbook step-up, which appends a zero and adds ``c`` times the
+    reversed filter shifted by one. ``mesa`` steps its filters up in place;
+    this is the reference it is held to, bit for bit.
     """
     prev_a = np.asarray(prev_a, dtype=np.float64)
     if prev_a.ndim != 1 or prev_a.size < 1 or prev_a[0] != 1.0:
@@ -111,7 +113,9 @@ def levinson_step(prev_a: np.ndarray, prev_p: float, c: float) -> tuple[np.ndarr
         raise ValidationError("prev_p must be finite and >= 0")
     if not (np.isfinite(c) and abs(c) <= 1.0):
         raise ValidationError("reflection coefficient must satisfy |c| <= 1")
-    return _levinson_update(prev_a, c), prev_p * (1.0 - c * c)
+    a = np.append(prev_a, 0.0)
+    a[1:] += c * prev_a[::-1]
+    return a, prev_p * (1.0 - c * c)
 
 
 def reflection_yule_walker(a: np.ndarray, r: np.ndarray, p: float) -> float:

@@ -373,9 +373,11 @@ def no_fit(*args, **kwargs):
 
 @pytest.mark.parametrize("flags, message", [
     (["--segment", "2"], "--segment 2 with --tukey 0.4 gives a window of zeros"),
+    (["--segment", "1"], "--segment must be >= 2, got 1"),
+    (["--segment", "512"], "--segment 512 exceeds the 256 samples of duration*fs"),
     (["--tukey", "2"], "--tukey must be in [0, 1], got 2.0"),
     (["--overlap", "1"], "--overlap must be in [0, 1), got 1.0"),
-], ids=["segment-2", "tukey", "overlap"])
+], ids=["segment-2", "segment-1", "segment-above-n", "tukey", "overlap"])
 def test_compare_checks_the_window_before_fitting(tmp_path, monkeypatch, capsys, flags, message):
     monkeypatch.setattr("mesa.cli.fit", no_fit)
     tab = write_tabulated(tmp_path / "target.csv")
@@ -752,7 +754,7 @@ DT_MESSAGE = "dt must be finite and > 0"
     (ESTIMATE + ["--in", "{tmp}/uneven.csv"], "time column is not uniformly spaced"),
     (ESTIMATE + ["--in", "{tmp}/uniform.csv", "--dt", "0.2"],
      "--dt disagrees with the file's time column"),
-    (WELCH + ["--segment", "1"], "segment_len must be >= 2"),
+    (WELCH + ["--segment", "1"], "--segment must be >= 2, got 1"),
     (WELCH + ["--segment", "4", "--overlap", "0.9"], "overlap too large: hop would be zero"),
     (WELCH + ["--segment", "4", "--overlap", "1"], "--overlap must be in [0, 1), got 1.0"),
     (WELCH + ["--segment", "4", "--tukey", "-0.1"], "--tukey must be in [0, 1], got -0.1"),

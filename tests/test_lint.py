@@ -1,6 +1,7 @@
-"""Source hygiene the repo checks without a linter: in the package, no unused
-import and no unread private name; in the tests, one definition of each
-helper, which no test module imports from another."""
+"""Source hygiene the repo checks without a linter: in the package and the
+tests, no unused import; in the package, no unread private name; in the
+tests, one definition of each helper, which no test module imports from
+another."""
 import ast
 from pathlib import Path
 
@@ -29,7 +30,7 @@ def unused_imports(tree: ast.Module) -> list[str]:
     return [f"{line} {name}" for name, line in imported.items() if name not in read]
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SOURCES + TESTS, ids=lambda p: p.name)
 def test_no_module_imports_a_name_it_never_uses(path):
     assert unused_imports(ast.parse(path.read_text(), str(path))) == []
 

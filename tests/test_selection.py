@@ -2,6 +2,7 @@
 import functools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,15 @@ from mesa.estimator import FAST_BURG_MIN_N, fit
 from mesa.selection import default_patience, max_order, select_order
 from mesa.synth import generate_ar, generate_from_psd, random_ar_model
 
-from oracles import loss_cat, loss_cat_inverse_sum, loss_fpe, loss_obd, scan, three_peak_curve
+from oracles import (
+    levinson_step,
+    loss_cat,
+    loss_cat_inverse_sum,
+    loss_fpe,
+    loss_obd,
+    scan,
+    three_peak_curve,
+)
 
 
 def make_trace(p, c, n):
@@ -131,6 +140,27 @@ def test_obd_hand_values():
         pytest.approx(math.log(10) + 0.25, abs=1e-9)
     with pytest.raises(UndefinedLossError):
         scan([0.0], "obd", 10)
+
+
+def test_obd_scan_peak_is_sized_to_the_orders_it_reads():
+    # the scan steps one filter buffer, which grows with the orders read and
+    # never with N: 300 orders at N = 1e8 trace about 29 kB, the buffer's
+    # growths included
+    n, m = 10**8, 300
+    c = np.random.default_rng(12).uniform(-0.3, 0.3, m)
+    p = np.cumprod(np.concatenate(([1.0], 1.0 - c * c)))
+    tracemalloc.start()
+    try:
+        sel = scan(p, "obd", n, c=c)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000, f"OBD scan peak {peak / 1e3:.0f} kB over {m} orders"
+    a = np.ones(1)
+    for k in range(m + 1):
+        if k:
+            a, _ = levinson_step(a, 1.0, c[k - 1])
+        assert sel.losses[k] == pytest.approx(loss_obd(p, a, n, k), rel=1e-12)
 
 
 # --- select_order ---------------------------------------------------------------

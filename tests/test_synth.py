@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from mesa._io import read_psd_csv
-from mesa.core import GenerationError, ArModel, SpectralDensity, ValidationError
+from mesa.core import ArModel, SpectralDensity, ValidationError
 from mesa.estimator import reflection_coefficients
 from mesa.synth import generate_ar, generate_from_psd, random_ar_model, tabulated_curve
 from oracles import aligo_psd
