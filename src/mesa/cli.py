@@ -227,6 +227,8 @@ def _welch_window(args) -> np.ndarray:
 def cmd_welch(args) -> int:
     window = _welch_window(args)
     ts = _io.read_timeseries(args.infile, dt=args.dt, binary=args.binary)
+    if args.segment > len(ts):
+        raise ValidationError(f"--segment {args.segment} exceeds the {len(ts)} samples of --in")
     sd = baseline.welch_psd(ts, window, args.overlap, detrend=args.detrend)
     _io.write_psd_csv(args.out, sd, ts.dt)
     return 0

@@ -124,16 +124,18 @@ def _fast_steps(x: np.ndarray, max_order: int):
     n = x.shape[0]
     acov = _autocovariance(x, max_order)
     xr = x[::-1].copy()  # xr[n-1-t] = x[t]: reversed runs of x as contiguous slices
-    buf = np.empty(max_order + 1)  # the order-k filter is buf[:k + 1]
+    buf = np.empty(max_order + 1)  # a, the order-k filter, is the view buf[:k + 1]
     buf[0] = 1.0
+    a = buf[:1]
     scratch = np.empty(max_order)
     g = np.array([2.0 * acov[0] - x[0] * x[0] - x[-1] * x[-1], 2.0 * acov[1]])
     r = np.empty(max_order + 1)  # r[m-1] is lag m of Psi's first row
     r[0] = 2.0 * acov[1]
     scale = float(2.0 * acov[0])  # the size of Psi's entries
     for k in range(max_order):
-        a = buf[: k + 1]
         den = a.dot(g[:-1])  # the forward plus backward error energy of order k
+        # a reversed operand stays with ``@``, which sums it in index order:
+        # ``.dot`` would copy it and sum by BLAS, and the bits would change
         if den > 0.0:
             ck = min(max(float(-(a @ g[:0:-1]) / den), -1.0), 1.0)
         # den and c come from sums of size ``scale`` by cancellation: the

@@ -152,20 +152,23 @@ def forecast_summary(ens: ForecastEnsemble, quantiles=(0.05, 0.95)) -> ForecastS
     """Empirical per-step median and quantile band edges (linear interpolation).
 
     Steps are summarized a block at a time, each block at most
-    ``_BLOCK_SAMPLES`` values, so only a block of the ensemble is ever
-    copied: the copy is sorted by column, and the quantiles are read from
-    it in place, which on sorted columns costs little. Every step's column
-    is summarized on its own, so the table is the same as one
-    ``np.quantile`` over the whole matrix.
+    ``_BLOCK_SAMPLES`` values, copied into one buffer, so only a block of
+    the ensemble is ever copied. The copy is sorted by column and its
+    quantiles are read in place, which on sorted columns costs little.
+    Every step's column is summarized on its own, so the table is the same
+    as one ``np.quantile`` over the whole matrix.
     """
     levels = summary_levels(quantiles, ens.n_realizations)
     r = ens.realizations
     probs = (0.5, *levels)
     table = np.empty((len(probs), ens.horizon))
     width = max(1, _BLOCK_SAMPLES // ens.n_realizations)
+    block = np.empty((ens.n_realizations, min(width, ens.horizon)))
     for j in range(0, ens.horizon, width):
-        block = np.sort(r[:, j : j + width], axis=0)
-        table[:, j : j + width] = np.quantile(block, probs, axis=0, overwrite_input=True)
+        cols = block[:, : min(width, ens.horizon - j)]
+        cols[...] = r[:, j : j + width]
+        cols.sort(axis=0)
+        table[:, j : j + width] = np.quantile(cols, probs, axis=0, overwrite_input=True)
     return ForecastSummary(
         steps=np.arange(1, ens.horizon + 1),
         median=table[0],

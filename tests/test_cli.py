@@ -755,6 +755,7 @@ DT_MESSAGE = "dt must be finite and > 0"
     (ESTIMATE + ["--in", "{tmp}/uniform.csv", "--dt", "0.2"],
      "--dt disagrees with the file's time column"),
     (WELCH + ["--segment", "1"], "--segment must be >= 2, got 1"),
+    (WELCH + ["--segment", "128"], "--segment 128 exceeds the 64 samples of --in"),
     (WELCH + ["--segment", "4", "--overlap", "0.9"], "overlap too large: hop would be zero"),
     (WELCH + ["--segment", "4", "--overlap", "1"], "--overlap must be in [0, 1), got 1.0"),
     (WELCH + ["--segment", "4", "--tukey", "-0.1"], "--tukey must be in [0, 1], got -0.1"),
@@ -771,9 +772,10 @@ DT_MESSAGE = "dt must be finite and > 0"
     (["estimate", "--in", "{tmp}/noise.csv", "--dt", "1", "--out-prefix", "{tmp}/taken"],
      "Is a directory"),
 ], ids=["quantiles", "odd-count", "compare-fs", "compare-duration", "binary-dt",
-        "decreasing-time", "uneven-time", "dt-disagrees", "segment", "overlap", "overlap-range",
-        "tukey-range", "generate-n", "burn-in", "forecast-dt", "psd-dt-zero", "psd-dt-negative",
-        "psd-dt-nan", "psd-dt-inf", "gaussian-dt-nan", "gaussian-dt-inf", "output-is-a-directory"])
+        "decreasing-time", "uneven-time", "dt-disagrees", "segment", "segment-above-n", "overlap",
+        "overlap-range", "tukey-range", "generate-n", "burn-in", "forecast-dt", "psd-dt-zero",
+        "psd-dt-negative", "psd-dt-nan", "psd-dt-inf", "gaussian-dt-nan", "gaussian-dt-inf",
+        "output-is-a-directory"])
 def test_refusals_exit_2_and_write_nothing(tmp_path, capsys, argv, message):
     write_refusal_inputs(tmp_path)
     before = sorted(tmp_path.iterdir())
