@@ -37,7 +37,7 @@ def atomic_write_text(path, text: str) -> None:
     path = Path(path)
     tmp = None
     try:
-        fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=f".{path.name}.")
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
         os.replace(tmp, path)

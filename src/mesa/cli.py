@@ -209,13 +209,16 @@ def cmd_generate(args) -> int:
 
 
 def _welch_window(args) -> np.ndarray:
-    """The Tukey window of ``--segment`` and ``--tukey``, with ``--overlap`` checked, by flag."""
+    """The Tukey window of ``--segment`` and ``--tukey``, checked with ``--overlap`` by flag."""
     if args.segment < 2:
         raise ValidationError(f"--segment must be >= 2, got {args.segment}")
     if not 0.0 <= args.tukey <= 1.0:
         raise ValidationError(f"--tukey must be in [0, 1], got {args.tukey}")
     if not 0.0 <= args.overlap < 1.0:
         raise ValidationError(f"--overlap must be in [0, 1), got {args.overlap}")
+    if int(args.segment * (1.0 - args.overlap)) < 1:
+        raise ValidationError(f"--segment {args.segment} with --overlap {args.overlap} gives "
+                              "a hop of 0 samples: lower --overlap or raise --segment")
     window = baseline.tukey_window(args.segment, args.tukey)
     if not window.any():  # --segment 2 with any taper
         raise ValidationError(

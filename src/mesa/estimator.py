@@ -74,19 +74,19 @@ FAST_BURG_GUARD_RATIO = 1e-6
 _UNSCALED_MAX_ABS = (2.0 ** -300, 2.0 ** 300)
 
 
-def _steps(f: np.ndarray, b: np.ndarray, start: int, max_order: int):
-    """The lattice from order ``start``, whose forward/backward errors are ``f`` and ``b``.
+def _steps(x: np.ndarray, a: np.ndarray, max_order: int):
+    """The lattice on ``x`` from the order of the prediction error filter ``a``.
 
-    ``f[i]`` and ``b[i]`` are the errors at sample ``start + i``; both
-    arrays are overwritten. Yields c_k for k = start..max_order-1,
-    computing an order only when the generator is advanced.
+    The errors start as ``x`` filtered by ``a`` (forward) and by ``a``
+    reversed (backward), so ``a = [1]`` starts at order 0. Yields c_k for
+    k = a.size-1..max_order-1, computing an order only when advanced.
     """
-    # errors live in preallocated buffers: b is updated in place, f
-    # alternates between two buffers, so no order allocates
-    n = f.shape[0] + start
-    f_next, scratch = np.empty_like(f), np.empty_like(f)
-    for k in range(start, max_order):
-        size = n - k - 1
+    # f[i] and b[i] are the errors at sample k + i, in three buffers no order
+    # reallocates: b is updated in place, f and f_next alternate
+    f, b = np.convolve(x, a, "valid"), np.convolve(x, a[::-1], "valid")
+    f_next = np.empty_like(f)
+    for k in range(a.size - 1, max_order):
+        size = x.size - k - 1
         fa = f[1 : size + 1]
         ba = b[:size]
         den = fa.dot(fa) + ba.dot(ba)
@@ -99,11 +99,12 @@ def _steps(f: np.ndarray, b: np.ndarray, start: int, max_order: int):
         elif ck < -1.0:
             ck = -1.0
         yield ck
-        tmp = scratch[:size]
-        np.multiply(ba, ck, out=tmp)
-        np.add(fa, tmp, out=f_next[:size])
-        np.multiply(fa, ck, out=tmp)
-        np.add(ba, tmp, out=ba)
+        # f is dead once f_next holds the next order: its head stages c*f
+        fn = f_next[:size]
+        np.multiply(ba, ck, out=fn)
+        np.add(fa, fn, out=fn)
+        np.multiply(fa, ck, out=fa)
+        np.add(ba, fa, out=ba)
         f, f_next = f_next, f
 
 
@@ -160,16 +161,10 @@ def _fast_steps(x: np.ndarray, max_order: int):
 
 
 def _fast_then_lattice(x: np.ndarray, max_order: int):
-    """c_k by fast Burg, then by the lattice from the order its guard refuses.
-
-    The lattice resumes from the errors of the filter fast Burg reached,
-    whose order ``a.size - 1`` is the handover order.
-    """
+    """c_k by fast Burg, then by the lattice from the filter it reached when its guard refused."""
     a = yield from _fast_steps(x, max_order)
     if a is not None:
-        f = np.convolve(x, a, "valid")
-        b = np.convolve(x, a[::-1], "valid")
-        yield from _steps(f, b, a.size - 1, max_order)
+        yield from _steps(x, a, max_order)
 
 
 def fit(
@@ -237,7 +232,7 @@ def fit(
     if n >= FAST_BURG_MIN_N:
         steps = _fast_then_lattice(x, max_order)
     else:
-        steps = _steps(x.copy(), x.copy(), 0, max_order)
+        steps = _steps(x, np.ones(1), max_order)
     p, c = [float(p0)], []
 
     def orders():

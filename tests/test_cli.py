@@ -377,7 +377,8 @@ def no_fit(*args, **kwargs):
     (["--segment", "512"], "--segment 512 exceeds the 256 samples of duration*fs"),
     (["--tukey", "2"], "--tukey must be in [0, 1], got 2.0"),
     (["--overlap", "1"], "--overlap must be in [0, 1), got 1.0"),
-], ids=["segment-2", "segment-1", "segment-above-n", "tukey", "overlap"])
+    (["--segment", "4", "--overlap", "0.9"], "--segment 4 with --overlap 0.9 gives a hop of 0"),
+], ids=["segment-2", "segment-1", "segment-above-n", "tukey", "overlap", "zero-hop"])
 def test_compare_checks_the_window_before_fitting(tmp_path, monkeypatch, capsys, flags, message):
     monkeypatch.setattr("mesa.cli.fit", no_fit)
     tab = write_tabulated(tmp_path / "target.csv")
@@ -756,7 +757,8 @@ DT_MESSAGE = "dt must be finite and > 0"
      "--dt disagrees with the file's time column"),
     (WELCH + ["--segment", "1"], "--segment must be >= 2, got 1"),
     (WELCH + ["--segment", "128"], "--segment 128 exceeds the 64 samples of --in"),
-    (WELCH + ["--segment", "4", "--overlap", "0.9"], "overlap too large: hop would be zero"),
+    (WELCH + ["--segment", "4", "--overlap", "0.9"],
+     "--segment 4 with --overlap 0.9 gives a hop of 0 samples"),
     (WELCH + ["--segment", "4", "--overlap", "1"], "--overlap must be in [0, 1), got 1.0"),
     (WELCH + ["--segment", "4", "--tukey", "-0.1"], "--tukey must be in [0, 1], got -0.1"),
     (GENERATE + ["--n", "1"], "need n >= 2"),

@@ -12,7 +12,9 @@ from scipy.signal import lfilter
 from mesa.core import DegenerateModelError, TimeSeries, ValidationError
 from mesa.estimator import _autocovariance, _fft_length, fit, reflection_coefficients
 from mesa.selection import max_order
+from mesa.synth import generate_from_psd
 from oracles import (
+    aligo_psd,
     fit_from_autocorr,
     levinson_step,
     reflection_yule_walker,
@@ -336,6 +338,27 @@ def test_fast_burg_peak_is_sized_to_the_lags_it_reads():
     finally:
         tracemalloc.stop()
     assert peak < 4_000_000, f"fit peak {peak / 1e6:.1f} MB at N={n}"
+
+
+@pytest.mark.parametrize("source", ["lattice", "handover"])
+def test_lattice_peak_is_three_error_buffers(source):
+    # the lattice holds f, b and f_next, N-long each, and nothing else that
+    # grows with N: under 3.5 float64 per sample, against 4.2-5.0 with a
+    # fourth buffer. The handover fit is fast Burg to order 1 (twelve
+    # decades of dynamic range), then the lattice on the filter it reached
+    if source == "lattice":
+        n, order = 12_000, 200
+        ts = TimeSeries(np.random.default_rng(11).standard_normal(n), dt=1.0)
+    else:
+        n, order = 100_000, 2000
+        ts = generate_from_psd(lambda f: aligo_psd(f, 0.1), n, 1.0 / 4096, rng_seed=1)
+    tracemalloc.start()
+    try:
+        fit(ts, order)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / (8 * n) < 3.5, f"fit peak {peak / (8 * n):.2f} float64 per sample at N={n}"
 
 
 def test_reflection_coefficients_inverts_replay():

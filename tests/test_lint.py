@@ -1,13 +1,16 @@
 """Source hygiene the repo checks without a linter: in the package and the
-tests, no unused import; in the package, no unread private name; in the
-tests, one definition of each helper, which no test module imports from
-another."""
+tests, no unused import and no import of an undeclared dependency; in the
+package, no unread private name; in the tests, one definition of each
+helper, which no test module imports from another."""
 import ast
+import re
+import sys
 from pathlib import Path
 
 import pytest
 
-PACKAGE = sorted((Path(__file__).parents[1] / "src" / "mesa").glob("*.py"))
+ROOT = Path(__file__).parents[1]
+PACKAGE = sorted((ROOT / "src" / "mesa").glob("*.py"))
 SOURCES = [p for p in PACKAGE if p.name != "__init__.py"]  # it imports in order to re-export
 TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
@@ -39,6 +42,54 @@ def test_an_unused_import_is_found():
     source = "from __future__ import annotations\nimport math\nimport numpy as np\nnp.zeros(1)\n"
     assert unused_imports(ast.parse(source)) == ["2 math"]
 
+
+def declared_modules() -> tuple[set, set]:
+    """The import names of the runtime dependencies, and of those plus the ``test`` extra."""
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+
+    def names(requirements):
+        # "numpy>=2.0" is imported as numpy, a "some-dist" as some_dist
+        return {re.match(r"[A-Za-z0-9_-]+", r).group().lower().replace("-", "_")
+                for r in requirements}
+
+    runtime = names(project["dependencies"]) | {"mesa"}
+    return runtime, runtime | names(project["optional-dependencies"]["test"])
+
+
+def undeclared_imports(tree: ast.Module, declared: set) -> list[str]:
+    """``line module`` for each absolute import of a module neither stdlib nor ``declared``.
+
+    A dependency that is installed only because another one needs it (as
+    mpmath is for sympy) is not declared, and importing it is caught here.
+    """
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        found += [f"{node.lineno} {top}" for top in (m.partition(".")[0] for m in modules)
+                  if top not in sys.stdlib_module_names and top not in declared]
+    return found
+
+
+@pytest.mark.parametrize("path", PACKAGE + TESTS, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_every_import_is_a_declared_dependency(path):
+    runtime, with_test = declared_modules()
+    # the tests also import their local helper modules by name
+    declared = runtime if path in PACKAGE else with_test | {"oracles", "conftest"}
+    assert undeclared_imports(ast.parse(path.read_text(), str(path)), declared) == []
+
+
+def test_an_undeclared_import_is_found():
+    source = ("from __future__ import annotations\nimport os.path\nimport numpy as np\n"
+              "import mpmath\nfrom sympy.core import S\nfrom . import sibling\n\n\n"
+              "def f():\n    import scipy.signal\n")
+    assert undeclared_imports(ast.parse(source), {"numpy"}) == [
+        "4 mpmath", "5 sympy", "10 scipy"]
 
 def unread_private_names(trees: dict) -> list[str]:
     """``file:line name`` for each top-level ``_name`` that no module of ``trees`` reads.
